@@ -1,17 +1,11 @@
 #include "api/session.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <exception>
-#include <map>
-#include <thread>
 #include <utility>
 
-#include "api/engine_arena.hpp"
 #include "api/experiment_plan.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
+#include "api/sweep.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::api {
@@ -126,19 +120,12 @@ LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog
                                            const compiler::LayoutOptions& lo) const {
   // Content-addressed key: two structurally identical programs (identical
   // directives, symbols, aliases) share one entry regardless of who owns
-  // them, and the entry outlives both (DataLayout is self-contained).
+  // them, and the entry outlives both (DataLayout is self-contained). The
+  // digest streams the fingerprint bytes without building them; the string
+  // key is only materialized when the store misses and needs a spill
+  // address.
   std::string key;
-  return layout_for(prog, bindings, lo, key);
-}
-
-LayoutStore::LayoutPtr Session::layout_for(const compiler::CompiledProgram& prog,
-                                           const front::Bindings& bindings,
-                                           const compiler::LayoutOptions& lo,
-                                           std::string& key_scratch) const {
-  // The digest streams the fingerprint bytes without building them; the
-  // string key is only materialized (into the worker's scratch buffer) when
-  // the store misses and needs a spill address.
-  return layout_for(prog, bindings, lo, key_scratch,
+  return layout_for(prog, bindings, lo, key,
                     compiler::layout_fingerprint_digest(prog, bindings, lo));
 }
 
@@ -236,6 +223,34 @@ void Session::set_trace_sink(obs::Sink* sink) {
   layout_store_.set_trace(sink);
 }
 
+bool Session::check_critical(const compiler::CompiledProgram& prog,
+                             const front::Bindings& bindings) const {
+  // The analysis reads only which names are bound, never their values.
+  std::string key = std::to_string(prog.compile_id);
+  for (const auto& [name, value] : bindings.values()) {
+    key += '\x1f';
+    key += name;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(critical_mutex_);
+    const auto it = critical_memo_.find(key);
+    if (it != critical_memo_.end()) {
+      if (it->second.empty()) return false;
+      throw support::CompileError(it->second);
+    }
+  }
+  try {
+    core::require_critical_complete(prog, bindings);
+  } catch (const support::CompileError& e) {
+    const std::lock_guard<std::mutex> lock(critical_mutex_);
+    critical_memo_.emplace(std::move(key), e.what());
+    throw;
+  }
+  const std::lock_guard<std::mutex> lock(critical_mutex_);
+  critical_memo_.emplace(std::move(key), std::string());
+  return true;
+}
+
 RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
   plan.validate();
   // Run-scoped spans go to the per-run sink when one is set, else to the
@@ -252,759 +267,26 @@ RunReport Session::run(const ExperimentPlan& plan, const RunOptions& options) {
 
   RunReport report;
   report.title = plan.title();
+  const sweep::Lowered lowered = sweep::lower(*this, plan, trace);
+  const sweep::Schedule schedule = sweep::schedule(*this, plan, trace);
+  report.records.resize(schedule.points.size());
 
-  // fail fast on unknown names, before any point of the sweep runs
-  for (const auto& machine_name : plan.machine_names()) (void)machine(machine_name);
-
-  // Compile every (machine, variant) pair serially, replicating the serial
-  // sweep's cache-call pattern (each variant misses once, later machines
-  // hit) so report.cache is identical for every worker count.
-  std::vector<ProgramHandle> variant_progs(plan.variants().size());
-  for (std::size_t m = 0; m < plan.machine_names().size(); ++m) {
-    for (std::size_t v = 0; v < plan.variants().size(); ++v) {
-      const auto& variant = plan.variants()[v];
-      const obs::Span compile_span(trace, obs::Phase::Compile, v);
-      variant_progs[v] =
-          variant.overrides.empty()
-              ? compile(plan.program_source(), plan.compiler_opts())
-              : compile_with_directives(plan.program_source(), variant.overrides,
-                                        plan.compiler_opts());
-    }
-  }
-
-  // Critical-variable validation depends only on (program, bindings), so it
-  // is hoisted out of the sweep: once per (variant, problem) pair instead of
-  // once (or twice) per point, and every diagnostic fires before any thread
-  // starts. The verdict is further memoized across run() calls — the
-  // analysis reads only which names are bound, never their values.
-  const auto check_critical = [this](const compiler::CompiledProgram& prog,
-                                     const front::Bindings& bindings) {
-    std::string key = std::to_string(prog.compile_id);
-    for (const auto& [name, value] : bindings.values()) {
-      key += '\x1f';
-      key += name;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(critical_mutex_);
-      const auto it = critical_memo_.find(key);
-      if (it != critical_memo_.end()) {
-        if (it->second.empty()) return;
-        throw support::CompileError(it->second);
-      }
-    }
-    try {
-      core::require_critical_complete(prog, bindings);
-    } catch (const support::CompileError& e) {
-      const std::lock_guard<std::mutex> lock(critical_mutex_);
-      critical_memo_.emplace(std::move(key), e.what());
-      throw;
-    }
-    const std::lock_guard<std::mutex> lock(critical_mutex_);
-    critical_memo_.emplace(std::move(key), std::string());
-  };
-  for (std::size_t v = 0; v < plan.variants().size(); ++v) {
-    if (plan.scaled_by_nprocs()) {
-      for (const auto& sc : plan.scaled_cases_list()) {
-        check_critical(*variant_progs[v], sc.problem.bindings);
-      }
-    } else {
-      for (const auto& problem : plan.problems()) {
-        check_critical(*variant_progs[v], problem.bindings);
-      }
-    }
-  }
-
-  // Flatten the cross product in sweep order; records are assembled by
-  // each point's `record` slot (its plan-order index), so the report
-  // ordering is independent of scheduling — and of the divergence-aware
-  // reorder below, which permutes `points` but never `record`.
-  struct Point {
-    const std::string* machine = nullptr;        // registry name (for the record)
-    const machine::MachineModel* mach = nullptr; // resolved once per machine
-    std::size_t variant = 0;
-    const ProblemCase* problem = nullptr;
-    int nprocs = 0;
-    std::size_t record = 0;   // plan-order index into report.records
-    std::uint64_t sig = 0;    // control-flow signature (order_points only)
-  };
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  constexpr std::size_t kChunkGranule = 256;
-  std::vector<Point> points;
-  std::vector<Chunk> chunks;
-  {
-    const obs::Span sched_span(trace, obs::Phase::ChunkSchedule, plan.point_count());
-  points.reserve(plan.point_count());
-  for (const auto& machine_name : plan.machine_names()) {
-    // one registry lookup per machine instead of one per point
-    const machine::MachineModel* mach = &machine(machine_name);
-    for (std::size_t v = 0; v < plan.variants().size(); ++v) {
-      if (plan.scaled_by_nprocs()) {
-        // Scaled axis (weak scaling): the problem is already coupled to its
-        // processor count, so the pairs replace the problems x nprocs product.
-        for (const auto& sc : plan.scaled_cases_list()) {
-          points.push_back(Point{&machine_name, mach, v, &sc.problem, sc.nprocs});
-        }
-      } else {
-        for (const auto& problem : plan.problems()) {
-          for (const int np : plan.nprocs_list()) {
-            points.push_back(Point{&machine_name, mach, v, &problem, np});
-          }
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) points[i].record = i;
-  report.records.resize(points.size());
-
-  if (options.order_points && points.size() > 1) {
-    // Signature: FNV-style fold of the critical-variable values a problem's
-    // bindings resolve to (the variables whose values steer control flow —
-    // exactly what makes lanes diverge). One fold per (variant, problem);
-    // nprocs and machine never enter the signature because they never
-    // steer the walk. Traced-but-unfoldable criticals hash a sentinel —
-    // grouping quality only, never correctness.
-    const auto mix64 = [](std::uint64_t h, std::uint64_t v) {
-      return (h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 12) + (h >> 4))) *
-             0x2545f4914f6cdd1dULL;
-    };
-    std::map<std::pair<std::size_t, const ProblemCase*>, std::uint64_t> sigs;
-    for (Point& pt : points) {
-      const auto key = std::make_pair(pt.variant, pt.problem);
-      auto it = sigs.find(key);
-      if (it == sigs.end()) {
-        const compiler::CompiledProgram& prog = *variant_progs[pt.variant];
-        const core::CriticalVariableReport cr =
-            core::analyze_critical(prog, pt.problem->bindings);
-        const compiler::SeededValues sv =
-            compiler::seed_values(prog.symbols, pt.problem->bindings);
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (const std::string& name : cr.critical) {
-          const int id = prog.symbols.find(name);
-          std::uint64_t bits = 0x9e3779b97f4a7c15ULL;  // unresolved sentinel
-          for (const auto& [s, value] : sv.defined) {
-            if (s == id) {
-              std::memcpy(&bits, &value, sizeof bits);
-              break;
-            }
-          }
-          h = mix64(h, bits);
-        }
-        it = sigs.emplace(key, h).first;
-      }
-      pt.sig = it->second;
-    }
-    // Sort each maximal (machine, variant) segment — the unit the chunk
-    // partition below never crosses — by (signature, plan order). The plan
-    // -order tiebreak keeps equal-bindings points adjacent (they share a
-    // signature and were contiguous), preserving the per-problem digest
-    // -prefix and seed memo hits of the unsorted walk.
-    for (std::size_t i = 0; i < points.size();) {
-      std::size_t j = i + 1;
-      while (j < points.size() && points[j].mach == points[i].mach &&
-             points[j].variant == points[i].variant) {
-        ++j;
-      }
-      std::sort(points.begin() + static_cast<std::ptrdiff_t>(i),
-                points.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Point& a, const Point& b) {
-                  return a.sig != b.sig ? a.sig < b.sig : a.record < b.record;
-                });
-      i = j;
-    }
-  }
-
-  // Partition the sweep into chunks: maximal runs of consecutive points
-  // sharing (compiled program, machine) — the lockstep lane contract —
-  // capped at a fixed granule. The cap is deliberately a constant, NOT
-  // batch_size, so the partition (and with it divergence, re-compaction,
-  // and replay behaviour) depends only on the plan — identical for every
-  // batch size, worker count, and SIMD width. Lockstep batching happens
-  // *inside* a chunk in windows of at most batch_size lanes; batch_size <=
-  // 1 and the legacy engine path degenerate to single-point windows, i.e.
-  // exactly the scalar sweep.
-  chunks.reserve(points.size() / kChunkGranule + 1);
-  for (std::size_t i = 0; i < points.size();) {
-    std::size_t j = i + 1;
-    while (j < points.size() && j - i < kChunkGranule &&
-           points[j].mach == points[i].mach && points[j].variant == points[i].variant) {
-      ++j;
-    }
-    chunks.push_back(Chunk{i, j});
-    i = j;
-  }
-  }  // ChunkSchedule span closes here
-
-  const std::size_t lane_width =
-      options.reuse_engines && options.batch_size > 1
-          ? static_cast<std::size_t>(options.batch_size)
-          : 1;
-  const bool compact = options.compact_lanes && lane_width > 1;
   // RunRecord reads only totals and phase sums, never the per-AAU /
   // per-processor tables, so the sweep predicts lean (identical phase
   // arithmetic, no table copies) — except under tracing, which needs the
   // full result.
-  core::PredictOptions sweep_predict = plan.predict_opts();
-  sweep_predict.detailed = sweep_predict.trace;
-  sweep_predict.speculate_branches = options.speculate_branches;
-  // Re-compaction rounds are self-limiting — every lockstep window retires
-  // at least its lead lane, so the deferred pool strictly shrinks — but a
-  // cap stops pathological regroup chains early (the remainder replays
-  // scalar, the pre-compaction behaviour).
-  constexpr int kMaxCompactionRounds = 8;
+  core::PredictOptions predict = plan.predict_opts();
+  predict.detailed = predict.trace;
+  const std::size_t lane_width =
+      options.batch_size > 1 ? static_cast<std::size_t>(options.batch_size) : 1;
+  const sweep::Sweep sweep{*this,   plan,       lowered.programs, schedule,
+                           predict, lane_width, trace,            report.records};
+  const BatchStats batch = sweep::execute(sweep, options.workers);
 
-  // Batch telemetry accumulates through order-independent integer sums, so
-  // RunReport::batch is deterministic under any worker interleaving.
-  std::atomic<std::size_t> batched_points{0};
-  std::atomic<std::size_t> scalar_points{0};
-  std::atomic<std::size_t> replayed_points{0};
-  std::atomic<std::uint64_t> ir_visits{0};
-  std::atomic<std::uint64_t> lane_visits{0};
-  std::atomic<std::uint64_t> evicted_lanes{0};
-  std::atomic<std::uint64_t> refilled_lanes{0};
-  std::atomic<std::uint64_t> simd_stripes{0};
-  std::atomic<std::uint64_t> speculated_branches{0};
-  std::atomic<std::uint64_t> speculated_lanes{0};
-
-  // Legacy per-point-engine path (RunOptions::reuse_engines = false): PR
-  // 2's behaviour, kept as the bench baseline.
-  const auto run_point = [&](std::size_t i) {
-    const Point& pt = points[i];
-    const auto& variant = plan.variants()[pt.variant];
-
-    RunRecord rec;
-    rec.machine = *pt.machine;
-    rec.variant = variant.name;
-    rec.problem = pt.problem->name;
-    rec.nprocs = pt.nprocs;
-    const compiler::CompiledProgram& prog = *variant_progs[pt.variant];
-    RunConfig cfg;
-    cfg.machine = *pt.machine;
-    cfg.nprocs = pt.nprocs;
-    if (variant.grid_rank) {
-      cfg.grid_shape =
-          compiler::ProcGrid::factorized(pt.nprocs, *variant.grid_rank).shape;
-    }
-    cfg.bindings = pt.problem->bindings;
-    cfg.runs = plan.measure_runs();
-    cfg.predict = sweep_predict;
-    cfg.sim = plan.sim_opts();
-    const core::PredictionResult pred = predict(prog, cfg);
-    rec.comparison.estimated = pred.total;
-    rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
-    if (plan.measure_runs() > 0) {
-      const sim::MeasuredResult measured = measure(prog, cfg);
-      rec.comparison.measured_mean = measured.stats.mean;
-      rec.comparison.measured_min = measured.stats.min;
-      rec.comparison.measured_max = measured.stats.max;
-      rec.comparison.measured_stddev = measured.stats.stddev;
-      rec.measured = true;
-    }
-    report.records[points[i].record] = std::move(rec);
-  };
-
-  // One deferred entry per evicted lane awaiting re-batch: `key` groups
-  // lanes that diverged identically (core::EvictedLane), `offset` indexes
-  // the chunk's lane table.
-  struct DeferredPoint {
-    std::uint64_t key = 0;
-    std::uint32_t offset = 0;
-  };
-  // One lane in the SESSION-WIDE divergence pool: a rebatchable lane its
-  // own chunk could not refill (lone divergence key, or the compaction
-  // round cap). Instead of replaying scalar it is exported here — with its
-  // layout/seed keep-alives — so equal-path lanes evicted from DIFFERENT
-  // chunks of the same (program, machine) group can re-enter lockstep
-  // together after the chunk barrier. `point` indexes the sweep's `points`
-  // table (which also yields bindings, machine, and the record slot).
-  struct PoolLane {
-    std::uint64_t key = 0;
-    std::size_t point = 0;
-    LayoutStore::LayoutPtr layout;
-    std::shared_ptr<const compiler::SeededValues> seed;
-  };
-  std::vector<PoolLane> divergence_pool;
-  std::mutex pool_mutex;
-  // Worker-owned state reused across chunks (no per-chunk allocation in
-  // steady state).
-  struct WorkerScratch {
-    EngineArena arena;
-    std::vector<core::BatchLane> lanes;           // chunk lanes, offset order
-    std::vector<LayoutStore::LayoutPtr> layouts;  // keep-alives, offset order
-    std::vector<core::BatchLane> window;          // regrouped re-batch windows
-    std::vector<core::EvictedLane> evictions;     // per-window export
-    std::vector<DeferredPoint> deferred;          // this round's regroup pool
-    std::vector<DeferredPoint> deferred_next;     // evictions feeding next round
-    std::vector<std::size_t> scalar_replay;       // offsets replaying scalar
-    std::vector<PoolLane> pool_out;               // lanes exported to the session pool
-    std::vector<std::shared_ptr<const compiler::SeededValues>> seeds;  // keep-alives
-    std::string layout_key;
-  };
-
-  // One worker claim = one chunk. The chunk runs as a stream of lockstep
-  // windows: fresh points in point order first, then re-compaction rounds
-  // that regroup evicted lanes by divergence key and give them a fresh
-  // lockstep batch, and finally scalar replays for whatever could not be
-  // regrouped. Records are assembled by point index and every point's
-  // arithmetic is bit-identical on every path, so the record payload is
-  // byte-identical for any batch size, worker count, or compaction setting.
-  const auto run_chunk = [&](const Chunk& c, WorkerScratch& ws) {
-    const std::size_t n = c.end - c.begin;
-    if (!options.reuse_engines) {
-      for (std::size_t i = c.begin; i < c.end; ++i) run_point(i);
-      scalar_points.fetch_add(n, std::memory_order_relaxed);
-      return;
-    }
-    const Point& p0 = points[c.begin];
-    const auto& variant = plan.variants()[p0.variant];
-    const compiler::CompiledProgram& prog = *variant_progs[p0.variant];
-    const machine::MachineModel& mach = *p0.mach;
-    EngineArena& arena = ws.arena;
-    arena.set_trace(trace);  // two stores per chunk; spans stay disabled when null
-
-    // Layout lookups happen per point, in point order — exactly one lookup
-    // per point for every batch size and compaction setting, which keeps
-    // report.cache identical across them all.
-    ws.lanes.clear();
-    ws.layouts.clear();
-    ws.seeds.clear();
-    // The digest's (program, bindings) prefix is memoized per problem: a
-    // chunk walks problems × nprocs with equal bindings adjacent, so warm
-    // points finish a captured prefix state instead of re-hashing the
-    // whole binding set. The same per-problem boundary keys the seed memo —
-    // lanes carry the precomputed parameter fold.
-    const front::Bindings* prefix_of = nullptr;
-    compiler::LayoutDigestState prefix{};
-    const compiler::SeededValues* seed = nullptr;
-    for (std::size_t i = c.begin; i < c.end; ++i) {
-      const Point& pt = points[i];
-      compiler::LayoutOptions lo;
-      lo.nprocs = pt.nprocs;
-      if (variant.grid_rank) {
-        lo.grid_shape =
-            compiler::ProcGrid::factorized(pt.nprocs, *variant.grid_rank).shape;
-      }
-      if (&pt.problem->bindings != prefix_of) {
-        prefix = compiler::layout_fingerprint_prefix(prog, pt.problem->bindings);
-        prefix_of = &pt.problem->bindings;
-        ws.seeds.push_back(seed_for(prog, prefix, pt.problem->bindings));
-        seed = ws.seeds.back().get();
-      }
-      ws.layouts.push_back(layout_for(prog, pt.problem->bindings, lo, ws.layout_key,
-                                      compiler::layout_fingerprint_finish(prefix, lo)));
-      ws.lanes.push_back(
-          core::BatchLane{ws.layouts.back().get(), &pt.problem->bindings, seed});
-    }
-
-    // Local tallies, flushed to the shared atomics once per chunk.
-    std::size_t batched_n = 0, scalar_n = 0, replayed_n = 0;
-    std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, refilled_n = 0, stripes_n = 0;
-    std::uint64_t spec_br_n = 0, spec_lanes_n = 0;
-
-    const auto assemble = [&](std::size_t off, const core::PredictionResult& pred) {
-      const std::size_t i = c.begin + off;
-      const Point& pt = points[i];
-      RunRecord& rec = report.records[pt.record];
-      rec.machine = *pt.machine;
-      rec.variant = variant.name;
-      rec.problem = pt.problem->name;
-      rec.nprocs = pt.nprocs;
-      rec.comparison.estimated = pred.total;
-      rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
-    };
-
-    // One lockstep (or scalar-fallback) window. `off_of` maps window lane
-    // -> chunk offset; `refill` marks re-compaction windows (their lanes
-    // already evicted once).
-    const auto run_window = [&](std::span<const core::BatchLane> lane_span,
-                                const auto& off_of, bool refill) {
-      const std::size_t w = lane_span.size();
-      ws.evictions.clear();
-      bool lockstep = false;
-      core::BatchRunStats bs;
-      const std::span<const core::PredictionResult> preds =
-          arena.predict_batch(prog, mach, sweep_predict, lane_span, lockstep,
-                              bs, compact ? &ws.evictions : nullptr);
-      if (!lockstep) {
-        for (std::size_t k = 0; k < w; ++k) assemble(off_of(k), preds[k]);
-        (refill ? replayed_n : scalar_n) += w;
-        return;
-      }
-      ir_n += bs.ir_visits;
-      lanes_n += bs.lane_visits;
-      stripes_n += bs.simd_stripes;
-      evicted_n += bs.evicted_lanes;
-      spec_br_n += bs.speculated_branches;
-      spec_lanes_n += bs.speculated_lanes;
-      if (refill) refilled_n += w;
-      if (!compact) {
-        // Internal-replay mode: every result slot is filled on return.
-        for (std::size_t k = 0; k < w; ++k) assemble(off_of(k), preds[k]);
-        batched_n += w - bs.replayed_lanes;
-        replayed_n += bs.replayed_lanes;
-        return;
-      }
-      // Exported evictions arrive sorted by lane; merge-walk the window.
-      std::size_t e = 0;
-      for (std::size_t k = 0; k < w; ++k) {
-        if (e < ws.evictions.size() && ws.evictions[e].lane == static_cast<int>(k)) {
-          const core::EvictedLane& ev = ws.evictions[e++];
-          const std::size_t off = off_of(k);
-          if (ev.rebatchable) {
-            ws.deferred_next.push_back(
-                DeferredPoint{ev.key, static_cast<std::uint32_t>(off)});
-          } else {
-            ws.scalar_replay.push_back(off);
-          }
-          continue;
-        }
-        assemble(off_of(k), preds[k]);
-        ++batched_n;
-      }
-    };
-
-    ws.deferred_next.clear();
-    ws.scalar_replay.clear();
-    ws.pool_out.clear();
-
-    // Hands a rebatchable lane this chunk cannot refill to the session
-    // pool, carrying the keep-alives the post-barrier drain needs. The
-    // chunk's own counters do not record it — the drain accounts for it
-    // exactly once (batched or replayed) like any other point.
-    const auto export_to_pool = [&](const DeferredPoint& d) {
-      const core::BatchLane& lane = ws.lanes[d.offset];
-      std::shared_ptr<const compiler::SeededValues> seed;
-      for (const auto& sp : ws.seeds) {
-        if (sp.get() == lane.seed) {
-          seed = sp;
-          break;
-        }
-      }
-      ws.pool_out.push_back(
-          PoolLane{d.key, c.begin + d.offset, ws.layouts[d.offset], std::move(seed)});
-    };
-
-    // Phase 1 — fresh windows in point order.
-    for (std::size_t f = 0; f < n; f += lane_width) {
-      const std::size_t w = std::min(lane_width, n - f);
-      run_window(std::span<const core::BatchLane>(ws.lanes.data() + f, w),
-                 [&](std::size_t k) { return f + k; }, false);
-    }
-
-    // Phase 2 — re-compaction rounds: regroup evicted lanes by divergence
-    // key (ties broken by offset, so the schedule is deterministic and
-    // independent of anything but the chunk contents) and run each group
-    // as its own lockstep window.
-    for (int round = 0; !ws.deferred_next.empty(); ++round) {
-      ws.deferred.swap(ws.deferred_next);
-      ws.deferred_next.clear();
-      if (round >= kMaxCompactionRounds) {
-        // The chunk gives up regrouping; the session pool gets another shot
-        // after the barrier (the drain has its own round cap).
-        for (const DeferredPoint& d : ws.deferred) export_to_pool(d);
-        break;
-      }
-      std::sort(ws.deferred.begin(), ws.deferred.end(),
-                [](const DeferredPoint& a, const DeferredPoint& b) {
-                  return a.key != b.key ? a.key < b.key : a.offset < b.offset;
-                });
-      for (std::size_t g = 0; g < ws.deferred.size();) {
-        std::size_t h = g + 1;
-        while (h < ws.deferred.size() && ws.deferred[h].key == ws.deferred[g].key) ++h;
-        for (std::size_t s = g; s < h; s += lane_width) {
-          const std::size_t w = std::min(lane_width, h - s);
-          if (w < 2) {
-            // A lone lane cannot run lockstep here — but another chunk of
-            // the same (program, machine) group may have evicted an
-            // equal-key partner, so it goes to the session pool instead of
-            // straight to the scalar engine.
-            export_to_pool(ws.deferred[s]);
-            continue;
-          }
-          ws.window.clear();
-          for (std::size_t k = 0; k < w; ++k) {
-            ws.window.push_back(ws.lanes[ws.deferred[s + k].offset]);
-          }
-          run_window(std::span<const core::BatchLane>(ws.window),
-                     [&](std::size_t k) {
-                       return static_cast<std::size_t>(ws.deferred[s + k].offset);
-                     },
-                     true);
-        }
-        g = h;
-      }
-    }
-
-    // Phase 3 — scalar replays, in point order (deterministic diagnostics).
-    std::sort(ws.scalar_replay.begin(), ws.scalar_replay.end());
-    if (!ws.scalar_replay.empty()) {
-      const obs::Span replay_span(trace, obs::Phase::ScalarReplay,
-                                  ws.scalar_replay.size());
-      for (const std::size_t off : ws.scalar_replay) {
-        assemble(off, arena.predict(prog, *ws.lanes[off].layout, mach,
-                                    sweep_predict, *ws.lanes[off].bindings));
-        ++replayed_n;
-      }
-    }
-
-    // Measurement: one batched pass over the whole chunk in point order —
-    // per-point bit-identical to measure_into, independent of how
-    // prediction grouped the lanes.
-    if (plan.measure_runs() > 0) {
-      const std::span<const sim::MeasuredResult> measured = arena.measure_batch_into(
-          prog, mach, plan.sim_opts(), plan.measure_runs(), ws.lanes);
-      for (std::size_t off = 0; off < n; ++off) {
-        RunRecord& rec = report.records[points[c.begin + off].record];
-        const sim::RunStats& st = measured[off].stats;
-        rec.comparison.measured_mean = st.mean;
-        rec.comparison.measured_min = st.min;
-        rec.comparison.measured_max = st.max;
-        rec.comparison.measured_stddev = st.stddev;
-        rec.measured = true;
-      }
-    }
-
-    batched_points.fetch_add(batched_n, std::memory_order_relaxed);
-    scalar_points.fetch_add(scalar_n, std::memory_order_relaxed);
-    replayed_points.fetch_add(replayed_n, std::memory_order_relaxed);
-    ir_visits.fetch_add(ir_n, std::memory_order_relaxed);
-    lane_visits.fetch_add(lanes_n, std::memory_order_relaxed);
-    evicted_lanes.fetch_add(evicted_n, std::memory_order_relaxed);
-    refilled_lanes.fetch_add(refilled_n, std::memory_order_relaxed);
-    simd_stripes.fetch_add(stripes_n, std::memory_order_relaxed);
-    speculated_branches.fetch_add(spec_br_n, std::memory_order_relaxed);
-    speculated_lanes.fetch_add(spec_lanes_n, std::memory_order_relaxed);
-
-    if (!ws.pool_out.empty()) {
-      const std::lock_guard<std::mutex> lock(pool_mutex);
-      divergence_pool.insert(divergence_pool.end(),
-                             std::make_move_iterator(ws.pool_out.begin()),
-                             std::make_move_iterator(ws.pool_out.end()));
-      ws.pool_out.clear();
-    }
-  };
-
-  int workers = options.workers;
-  if (workers <= 0) workers = static_cast<int>(std::thread::hardware_concurrency());
-  workers = std::clamp<int>(workers, 1, static_cast<int>(chunks.size()));
-
-  if (workers == 1) {
-    // the serial path: no threads, chunks executed in order through one arena
-    WorkerScratch ws;
-    for (const Chunk& c : chunks) run_chunk(c, ws);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    const auto worker = [&] {
-      WorkerScratch ws;  // worker-owned: reused across all its chunks
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= chunks.size() || failed.load()) return;
-        try {
-          run_chunk(chunks[i], ws);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-          failed.store(true);
-          return;
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-    if (error) std::rethrow_exception(error);
-  }
-
-  // Cross-chunk drain. The session pool holds rebatchable lanes whose own
-  // chunks could not refill them (lone divergence key, or the chunk's
-  // round cap). After the chunk barrier the pool is sorted into a
-  // canonical order — (variant, machine, divergence key, plan order) — and
-  // drained serially: equal-key lanes evicted from DIFFERENT chunks of the
-  // same (program, machine) group re-enter lockstep together, re-evictions
-  // feed further rounds, and whatever stays lone replays scalar. The drain
-  // is serial and its order a pure function of the plan, so the batch
-  // telemetry stays identical for every worker count; the record payload
-  // was never at risk (every path is bit-identical per point).
-  report.batch.pooled_lanes = divergence_pool.size();
-  if (!divergence_pool.empty()) {
-    std::sort(divergence_pool.begin(), divergence_pool.end(),
-              [&](const PoolLane& a, const PoolLane& b) {
-                const Point& pa = points[a.point];
-                const Point& pb = points[b.point];
-                if (pa.variant != pb.variant) return pa.variant < pb.variant;
-                if (pa.machine != pb.machine) return *pa.machine < *pb.machine;
-                if (a.key != b.key) return a.key < b.key;
-                return a.point < b.point;
-              });
-    struct DrainLane {
-      std::uint64_t key = 0;
-      std::size_t idx = 0;  // into divergence_pool (stable keep-alive storage)
-    };
-    EngineArena arena;
-    arena.set_trace(trace);
-    std::vector<core::BatchLane> window;
-    std::vector<core::EvictedLane> evictions;
-    std::vector<DrainLane> cur, nxt;
-    std::size_t batched_n = 0, replayed_n = 0;
-    std::uint64_t ir_n = 0, lanes_n = 0, evicted_n = 0, refilled_n = 0, stripes_n = 0;
-    std::uint64_t spec_br_n = 0, spec_lanes_n = 0;
-
-    for (std::size_t gb = 0; gb < divergence_pool.size();) {
-      std::size_t ge = gb + 1;
-      const Point& p0 = points[divergence_pool[gb].point];
-      while (ge < divergence_pool.size() &&
-             points[divergence_pool[ge].point].variant == p0.variant &&
-             points[divergence_pool[ge].point].mach == p0.mach) {
-        ++ge;
-      }
-      const compiler::CompiledProgram& prog = *variant_progs[p0.variant];
-      const machine::MachineModel& mach = *p0.mach;
-      const auto& variant = plan.variants()[p0.variant];
-
-      const auto assemble = [&](std::size_t idx, const core::PredictionResult& pred) {
-        const Point& pt = points[divergence_pool[idx].point];
-        RunRecord& rec = report.records[pt.record];
-        rec.machine = *pt.machine;
-        rec.variant = variant.name;
-        rec.problem = pt.problem->name;
-        rec.nprocs = pt.nprocs;
-        rec.comparison.estimated = pred.total;
-        rec.phases = PhaseBreakdown{pred.comp, pred.comm, pred.overhead, pred.wait};
-      };
-      const auto replay = [&](std::size_t idx) {
-        const PoolLane& pl = divergence_pool[idx];
-        assemble(idx, arena.predict(prog, *pl.layout, mach, sweep_predict,
-                                    points[pl.point].problem->bindings));
-        ++replayed_n;
-      };
-
-      cur.clear();
-      for (std::size_t x = gb; x < ge; ++x) {
-        cur.push_back(DrainLane{divergence_pool[x].key, x});
-      }
-      for (int round = 0; !cur.empty(); ++round) {
-        if (round >= kMaxCompactionRounds) {
-          for (const DrainLane& d : cur) replay(d.idx);
-          break;
-        }
-        // already key-sorted on entry (pool order); re-evicted rounds need
-        // the sort because fresh keys interleave
-        std::sort(cur.begin(), cur.end(), [](const DrainLane& a, const DrainLane& b) {
-          return a.key != b.key ? a.key < b.key : a.idx < b.idx;
-        });
-        nxt.clear();
-        for (std::size_t g = 0; g < cur.size();) {
-          std::size_t h = g + 1;
-          while (h < cur.size() && cur[h].key == cur[g].key) ++h;
-          for (std::size_t s = g; s < h; s += lane_width) {
-            const std::size_t w = std::min(lane_width, h - s);
-            if (w < 2) {
-              replay(cur[s].idx);
-              continue;
-            }
-            window.clear();
-            for (std::size_t k = 0; k < w; ++k) {
-              const PoolLane& pl = divergence_pool[cur[s + k].idx];
-              window.push_back(core::BatchLane{pl.layout.get(),
-                                               &points[pl.point].problem->bindings,
-                                               pl.seed.get()});
-            }
-            evictions.clear();
-            bool lockstep = false;
-            core::BatchRunStats bs;
-            const std::span<const core::PredictionResult> preds = arena.predict_batch(
-                prog, mach, sweep_predict, std::span<const core::BatchLane>(window),
-                lockstep, bs, &evictions);
-            if (!lockstep) {
-              for (std::size_t k = 0; k < w; ++k) assemble(cur[s + k].idx, preds[k]);
-              replayed_n += w;
-              continue;
-            }
-            ir_n += bs.ir_visits;
-            lanes_n += bs.lane_visits;
-            stripes_n += bs.simd_stripes;
-            evicted_n += bs.evicted_lanes;
-            spec_br_n += bs.speculated_branches;
-            spec_lanes_n += bs.speculated_lanes;
-            refilled_n += w;
-            std::size_t e = 0;
-            for (std::size_t k = 0; k < w; ++k) {
-              if (e < evictions.size() && evictions[e].lane == static_cast<int>(k)) {
-                const core::EvictedLane& ev = evictions[e++];
-                if (ev.rebatchable) {
-                  nxt.push_back(DrainLane{ev.key, cur[s + k].idx});
-                } else {
-                  replay(cur[s + k].idx);
-                }
-                continue;
-              }
-              assemble(cur[s + k].idx, preds[k]);
-              ++batched_n;
-            }
-          }
-          g = h;
-        }
-        cur.swap(nxt);
-      }
-      gb = ge;
-    }
-
-    batched_points.fetch_add(batched_n, std::memory_order_relaxed);
-    replayed_points.fetch_add(replayed_n, std::memory_order_relaxed);
-    ir_visits.fetch_add(ir_n, std::memory_order_relaxed);
-    lane_visits.fetch_add(lanes_n, std::memory_order_relaxed);
-    evicted_lanes.fetch_add(evicted_n, std::memory_order_relaxed);
-    refilled_lanes.fetch_add(refilled_n, std::memory_order_relaxed);
-    simd_stripes.fetch_add(stripes_n, std::memory_order_relaxed);
-    speculated_branches.fetch_add(spec_br_n, std::memory_order_relaxed);
-    speculated_lanes.fetch_add(spec_lanes_n, std::memory_order_relaxed);
-    divergence_pool.clear();
-  }
-
-  report.batch.batched_points = batched_points.load();
-  report.batch.scalar_points = scalar_points.load();
-  report.batch.replayed_points = replayed_points.load();
-  report.batch.ir_visits = ir_visits.load();
-  report.batch.lane_visits = lane_visits.load();
-  report.batch.evicted_lanes = evicted_lanes.load();
-  report.batch.refilled_lanes = refilled_lanes.load();
-  report.batch.simd_stripes = simd_stripes.load();
-  report.batch.speculated_branches = speculated_branches.load();
-  report.batch.speculated_lanes = speculated_lanes.load();
-  report.cache = cache_stats() - before;
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  // Metrics are published after the report is assembled, so a throwing
-  // registry (kind clash) can never corrupt a sweep, and a null registry
-  // costs one branch. Counters are cumulative across runs; the occupancy
-  // gauge reflects the most recent run.
-  if (options.metrics != nullptr) {
-    obs::Registry& reg = *options.metrics;
-    reg.counter("hpf90d_run_points_total", "Sweep points executed by Session::run")
-        .add(points.size());
-    reg.counter("hpf90d_run_batched_points_total", "Points priced in lockstep batches")
-        .add(report.batch.batched_points);
-    reg.counter("hpf90d_run_scalar_points_total", "Points priced on the scalar path")
-        .add(report.batch.scalar_points);
-    reg.counter("hpf90d_run_replayed_points_total", "Points replayed after eviction")
-        .add(report.batch.replayed_points);
-    reg.counter("hpf90d_run_evicted_lanes_total", "Lanes evicted from lockstep windows")
-        .add(report.batch.evicted_lanes);
-    reg.counter("hpf90d_run_refilled_lanes_total", "Evicted lanes re-batched by compaction")
-        .add(report.batch.refilled_lanes);
-    reg.gauge("hpf90d_run_lockstep_occupancy", "Mean active lanes per batch IR visit, last run")
-        .set(report.batch.mean_lanes_per_visit());
-    reg.histogram("hpf90d_run_wall_seconds", "Session::run wall time",
-                  {0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0})
-        .observe(report.wall_seconds);
-  }
+  const CacheStats cache = cache_stats() - before;
+  sweep::publish(report, batch, cache,
+                 std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+                 schedule.points.size(), options.metrics);
   return report;
 }
 

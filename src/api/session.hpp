@@ -31,8 +31,8 @@
 // Session::run executes sweeps on a worker pool whose workers each own an
 // EngineArena — a reusable InterpretationEngine/Executor pair — so the
 // steady-state hot path allocates nothing per point (see engine_arena.hpp).
-//
-// driver::Framework remains as a thin compatibility shim over Session.
+// run() is a short driver over the units in sweep.hpp: lower, schedule,
+// execute (chunk by chunk), publish.
 #pragma once
 
 #include <array>
@@ -65,10 +65,11 @@ class Sink;
 namespace hpf90d::api {
 
 class ExperimentPlan;
+namespace sweep {
+struct SessionAccess;
+}  // namespace sweep
 
-/// One experiment configuration addressed at a *named* machine. The shape
-/// is driver::ExperimentConfig plus the machine name (the driver aliases
-/// this type for backward compatibility).
+/// One experiment configuration addressed at a *named* machine.
 struct RunConfig {
   std::string machine = "ipsc860";
   int nprocs = 1;
@@ -93,62 +94,23 @@ struct RunOptions {
   /// covering the working set (see layout_store.hpp).
   int workers = 0;
 
-  /// Per-worker engine arenas: each worker reuses one
-  /// InterpretationEngine/Executor across its points (the allocation-free
-  /// steady state). false reverts to PR 2's per-point construction — the
-  /// bench baseline; records are identical either way, but the legacy path
-  /// performs two layout lookups per measured point (predict + measure)
-  /// where the arena path performs one, so cache *stats* differ between
-  /// modes (each mode is still deterministic across worker counts).
-  bool reuse_engines = true;
-
   /// Applied to the session's layout store before the sweep when set:
   /// the LRU capacity in entries, 0 = unbounded. nullopt leaves the
   /// session's current setting untouched.
   std::optional<std::size_t> layout_cache_capacity;
 
-  /// Maximum sweep points interpreted per lockstep batch: consecutive
+  /// Maximum sweep points interpreted per lockstep window: consecutive
   /// points sharing a compiled program and machine are grouped into chunks
-  /// of at most this many lanes and priced together through
-  /// core::BatchEngine's flat cost bytecode (see batch_engine.hpp). The
-  /// partition is deterministic and independent of `workers`, and the
-  /// report's records/ordering/estimates/cache stats are byte-identical to
-  /// the scalar path for every value. <= 1 disables batching (every point
-  /// takes the scalar arena path); requires reuse_engines. Effectiveness
-  /// counters land in RunReport::batch.
+  /// and priced together, at most this many lanes at a time, through
+  /// core::BatchEngine's flat cost bytecode (see batch_engine.hpp). Lanes
+  /// that diverge are regrouped by divergence key into refill windows; the
+  /// rest replay on the scalar engine. The partition is deterministic and
+  /// independent of `workers`, and the report's records/ordering/estimates/
+  /// cache stats are byte-identical to the scalar path for every value.
+  /// <= 1 disables batching: every point takes the scalar engine, the
+  /// reference the batched path is tested against. Effectiveness counters
+  /// land in RunReport::batch.
   int batch_size = 64;
-
-  /// Lane re-compaction: lanes that diverge out of a lockstep batch are
-  /// regrouped by divergence key (see core::EvictedLane) and re-batched
-  /// with equal-key lanes from the whole chunk, so a divergent sweep keeps
-  /// lane occupancy high instead of replaying most points scalar. false
-  /// falls back to BatchEngine's internal end-of-batch scalar replay. The
-  /// report payload is byte-identical either way (only RunReport::batch
-  /// telemetry and wall time change); only meaningful when batching runs.
-  bool compact_lanes = true;
-
-  /// Speculative both-sides IF (batch path only): when an IF splits a
-  /// lockstep window and both arms are cheap (loop-free, few nodes), walk
-  /// both arms — each with the lane subset that takes it — instead of
-  /// evicting the minority. Every lane still prices exactly what its
-  /// scalar interpretation would, so the report payload is byte-identical
-  /// on or off; only RunReport::batch telemetry (speculated_branches /
-  /// speculated_lanes, fewer evictions) and wall time change.
-  bool speculate_branches = false;
-
-  /// Divergence-aware plan ordering: before the sweep is partitioned into
-  /// chunks, reorder the points of each (machine, variant) segment so that
-  /// points with equal predicted control-flow signatures — a hash of the
-  /// program's critical-variable values under each problem's bindings —
-  /// become lane neighbours. Sweeps whose divergence axis is interleaved
-  /// with a benign axis (e.g. problems × nprocs with a binding-dependent
-  /// loop bound) then enter lockstep already grouped instead of paying an
-  /// eviction + refill round per window. Records are assembled back into
-  /// plan order, so the report payload is byte-identical to the unsorted
-  /// run for every batch size and worker count; only RunReport::batch
-  /// telemetry (fewer evictions/refills) and wall time change. The
-  /// reorder is deterministic (a pure function of the plan).
-  bool order_points = false;
 
   /// Tracing sink for this run (overrides the session-level sink when
   /// set): compile, chunk-schedule, lockstep-window, scalar-replay and
@@ -202,10 +164,10 @@ class Session {
   /// Predict + measure + compare.
   [[nodiscard]] Comparison compare(const ProgramHandle& prog, const RunConfig& config);
 
-  // Overloads for externally owned programs (the driver::Framework shim
-  // hands these in). The layout cache is content-addressed, so external
-  // programs hit the same entries as session-owned ones: a structurally
-  // identical program reuses a cached layout instead of rebuilding it.
+  // Overloads for externally owned programs (e.g. from compiler::compile).
+  // The layout cache is content-addressed, so external programs hit the
+  // same entries as session-owned ones: a structurally identical program
+  // reuses a cached layout instead of rebuilding it.
   [[nodiscard]] core::PredictionResult predict(const compiler::CompiledProgram& prog,
                                                const RunConfig& config) const;
   [[nodiscard]] sim::MeasuredResult measure(const compiler::CompiledProgram& prog,
@@ -271,6 +233,8 @@ class Session {
   void clear_program_cache();
 
  private:
+  friend struct sweep::SessionAccess;
+
   /// Compile-cache counters, atomically incremented by concurrent workers
   /// (the layout counters live in the LayoutStore).
   struct AtomicCacheStats {
@@ -290,16 +254,11 @@ class Session {
       const compiler::CompiledProgram& prog, const front::Bindings& bindings,
       const compiler::LayoutOptions& lo) const;
 
-  /// Hot-path variant: the fingerprint is rebuilt into `key_scratch`
-  /// (worker-owned, reused across points), so a warm lookup performs no
-  /// allocation at all.
-  [[nodiscard]] LayoutStore::LayoutPtr layout_for(
-      const compiler::CompiledProgram& prog, const front::Bindings& bindings,
-      const compiler::LayoutOptions& lo, std::string& key_scratch) const;
-
-  /// Hottest-path variant: the caller already finished the content digest
-  /// (memoized fingerprint prefix per problem — see
-  /// compiler::layout_fingerprint_prefix), so a warm lookup hashes nothing.
+  /// Sweep hot-path variant: the caller already finished the content
+  /// digest (memoized fingerprint prefix per problem — see
+  /// compiler::layout_fingerprint_prefix), so a warm lookup hashes nothing,
+  /// and a miss builds the key into `key_scratch` (worker-owned, reused
+  /// across points) instead of allocating.
   [[nodiscard]] LayoutStore::LayoutPtr layout_for(
       const compiler::CompiledProgram& prog, const front::Bindings& bindings,
       const compiler::LayoutOptions& lo, std::string& key_scratch,
@@ -307,10 +266,17 @@ class Session {
 
   /// Memoized seed_environment fold for one (program, problem) — see
   /// seed_memo_ below. `prefix` must be layout_fingerprint_prefix(prog,
-  /// bindings) (run() computes it per problem for the layout digest anyway).
+  /// bindings) (the sweep computes it per problem for the layout digest
+  /// anyway).
   [[nodiscard]] std::shared_ptr<const compiler::SeededValues> seed_for(
       const compiler::CompiledProgram& prog, const compiler::LayoutDigestState& prefix,
       const front::Bindings& bindings) const;
+
+  /// Memoized critical-variable check (see critical_memo_): throws the
+  /// diagnostic for an incomplete (program, bound-name set), cached or
+  /// fresh. Returns true when the analysis ran, false on a memo hit.
+  bool check_critical(const compiler::CompiledProgram& prog,
+                      const front::Bindings& bindings) const;
 
   [[nodiscard]] static compiler::LayoutOptions layout_options(const RunConfig& c) {
     compiler::LayoutOptions lo;
@@ -347,9 +313,9 @@ class Session {
 
   /// seed_environment fold memo for the sweep hot path: the fold is pure
   /// in (program symbols, binding values), both of which the layout
-  /// fingerprint *prefix* digest already covers — so run() keys the memo on
-  /// (compile_id, prefix digest) it computes per problem anyway and lanes
-  /// carry the precomputed (id, value) list instead of re-folding the
+  /// fingerprint *prefix* digest already covers — so the sweep keys the
+  /// memo on (compile_id, prefix digest) it computes per problem anyway and
+  /// lanes carry the precomputed (id, value) list instead of re-folding the
   /// parameters on every chunk of every run. Entries are shared_ptr so a
   /// clear_caches() mid-run cannot pull values out from under live lanes.
   struct SeedMemoHash {

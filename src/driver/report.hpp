@@ -6,9 +6,12 @@
 #include <string>
 #include <vector>
 
-#include "driver/framework.hpp"
+#include "api/run_report.hpp"
 
 namespace hpf90d::driver {
+
+/// Estimated-vs-measured comparison for one configuration.
+using Comparison = api::Comparison;
 
 /// One (problem size, processor count) comparison within a sweep.
 struct SweepPoint {

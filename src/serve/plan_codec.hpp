@@ -84,9 +84,10 @@ struct ServerStats {
   std::uint64_t lanes_evicted = 0;
   std::uint64_t lanes_refilled = 0;
   std::uint64_t simd_stripes = 0;
-  /// Cross-chunk lockstep telemetry (stats codec v5): lanes re-batched by
-  /// the session-wide divergence pool, IFs priced both-sides instead of
-  /// evicting, and lanes those speculative IFs kept in lockstep.
+  /// Stats codec v5 slots for the retired cross-chunk divergence pool and
+  /// speculative-IF strategies. The sweep no longer has either, so the
+  /// daemon always reports 0; the fields stay so the v5 wire format (and
+  /// its readers) are unchanged.
   std::uint64_t lanes_pooled = 0;
   std::uint64_t branches_speculated = 0;
   std::uint64_t lanes_speculated = 0;

@@ -185,9 +185,6 @@ class ExperimentServer {
   std::atomic<std::uint64_t> lanes_evicted_{0};
   std::atomic<std::uint64_t> lanes_refilled_{0};
   std::atomic<std::uint64_t> simd_stripes_{0};
-  std::atomic<std::uint64_t> lanes_pooled_{0};
-  std::atomic<std::uint64_t> branches_speculated_{0};
-  std::atomic<std::uint64_t> lanes_speculated_{0};
 
   // observability: span ring, metrics registry, slow-job log
   obs::Tracer tracer_;

@@ -1,8 +1,7 @@
 // Experiment-session API tests: machine registry lookup (including the
 // unknown-name error path), compilation/layout cache behaviour across an
 // ExperimentPlan sweep, content-addressed layout sharing with externally
-// owned programs, worker-pool determinism, RunReport CSV export/diff, and
-// the driver::Framework compatibility shim.
+// owned programs, worker-pool determinism, and RunReport CSV export/diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "driver/framework.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
 #include "suite/suite.hpp"
@@ -278,15 +276,16 @@ TEST(Session, LayoutEntriesSurviveProgramEviction) {
   EXPECT_GE(session.cache_stats().layout_hits, 1u);
 }
 
-TEST(Session, FrameworkSweepHitsTheLayoutCache) {
-  // The driver::Framework path hands in externally owned programs; with
-  // content-addressed keys a repeated sweep must be layout-cache-served.
-  driver::Framework framework;
+TEST(Session, ExternalProgramSweepHitsTheLayoutCache) {
+  // The external-program overloads (compare = predict + measure) take a
+  // program the session does not own; with content-addressed keys a
+  // repeated sweep is layout-cache-served, and the results equal those of
+  // a session-owned handle of the same source.
+  api::Session session;
   const auto& app = suite::app("pi");
-  const auto prog = framework.compile(app.source);
+  const compiler::CompiledProgram prog = compiler::compile(app.source);
 
-  driver::ExperimentConfig cfg;
-  cfg.nprocs = 4;
+  api::RunConfig cfg;
   cfg.bindings = app.bindings(256);
   cfg.runs = 1;
 
@@ -294,14 +293,21 @@ TEST(Session, FrameworkSweepHitsTheLayoutCache) {
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (int np : {1, 2, 4}) {
       cfg.nprocs = np;
-      (void)framework.compare(prog, cfg);
+      (void)session.compare(prog, cfg);
     }
-    if (sweep == 0) hits_after_first = framework.session().cache_stats().layout_hits;
+    if (sweep == 0) hits_after_first = session.cache_stats().layout_hits;
   }
-  const api::CacheStats stats = framework.session().cache_stats();
+  const api::CacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.layout_misses, 3u);  // one per processor count
   EXPECT_GT(stats.layout_hits, hits_after_first);  // second sweep fully served
   EXPECT_GT(stats.layout_hits, 0u);
+
+  const api::Comparison external = session.compare(prog, cfg);
+  const api::Comparison owned = session.compare(session.compile(app.source), cfg);
+  EXPECT_EQ(external.estimated, owned.estimated);
+  EXPECT_EQ(external.measured_mean, owned.measured_mean);
+  EXPECT_EQ(external.measured_stddev, owned.measured_stddev);
+  EXPECT_EQ(session.cache_stats().layout_misses, 3u);  // still no new layout
 }
 
 // --- parallel execution -------------------------------------------------------
@@ -348,36 +354,6 @@ TEST(Session, RunReportIsIdenticalForAnyWorkerCount) {
   EXPECT_EQ(a.cache.compile_misses, b.cache.compile_misses);
   EXPECT_EQ(a.cache.layout_hits, b.cache.layout_hits);
   EXPECT_EQ(a.cache.layout_misses, b.cache.layout_misses);
-}
-
-TEST(Session, ArenaAndLegacyPathsProduceIdenticalReports) {
-  // RunOptions::reuse_engines toggles between the per-worker EngineArena
-  // hot path and PR 2's per-point engine construction. The records must be
-  // byte-identical across the four (path, workers) combinations; only the
-  // cache call pattern differs (the arena path shares one layout lookup
-  // between prediction and measurement).
-  const api::ExperimentPlan plan = determinism_plan();
-
-  std::vector<api::RunReport> reports;
-  for (const bool arenas : {true, false}) {
-    for (const int workers : {1, 4}) {
-      api::Session session;
-      api::RunOptions opts;
-      opts.workers = workers;
-      opts.reuse_engines = arenas;
-      reports.push_back(session.run(plan, opts));
-    }
-  }
-  for (std::size_t i = 1; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[0].csv(), reports[i].csv());
-    // the per-phase decomposition is part of the determinism contract too
-    ASSERT_EQ(reports[0].records.size(), reports[i].records.size());
-    for (std::size_t r = 0; r < reports[0].records.size(); ++r) {
-      EXPECT_EQ(reports[0].records[r].phases.comp, reports[i].records[r].phases.comp);
-      EXPECT_EQ(reports[0].records[r].phases.comm, reports[i].records[r].phases.comm);
-      EXPECT_EQ(reports[0].records[r].phases.wait, reports[i].records[r].phases.wait);
-    }
-  }
 }
 
 TEST(Session, CacheStatsAreDeterministicAcrossWorkerCountsWithArenas) {
@@ -726,31 +702,6 @@ TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {
   const api::ReportDiff deficit = api::RunReport::diff(dup, before);
   EXPECT_EQ(deficit.records.size(), 2u);
   EXPECT_EQ(deficit.only_before, 1u);
-}
-
-// --- driver::Framework compatibility shim -------------------------------------
-
-TEST(FrameworkShim, MatchesSessionResults) {
-  driver::Framework framework;
-  api::Session session;
-  const auto& app = suite::app("pi");
-
-  auto legacy_prog = framework.compile(app.source);
-  const auto prog = session.compile(app.source);
-
-  driver::ExperimentConfig cfg;  // = api::RunConfig
-  cfg.nprocs = 4;
-  cfg.bindings = app.bindings(256);
-  cfg.runs = 2;
-
-  const driver::Comparison a = framework.compare(legacy_prog, cfg);
-  const api::Comparison b = session.compare(prog, cfg);
-  EXPECT_EQ(a.estimated, b.estimated);
-  EXPECT_EQ(a.measured_mean, b.measured_mean);
-  EXPECT_EQ(a.measured_stddev, b.measured_stddev);
-
-  // the machine field is pinned to the cube by the shim
-  EXPECT_EQ(framework.machine().max_nodes, 8);
 }
 
 }  // namespace

@@ -1,29 +1,33 @@
 // Oracle tests for the lockstep batch interpreter: for every batch size —
 // including the degenerate scalar setting and a whole-sweep batch — and
 // every worker count, Session::run must produce a RunReport whose ASCII and
-// CSV exports are byte-identical to the scalar path's, on all registered
-// machines, with measurement enabled, and in the presence of divergent
-// lanes (binding-dependent DO trip counts, masked loops, per-lane critical
-// variables steering branches). The batch telemetry itself must stay out
-// of the exports. CI also runs this binary under ThreadSanitizer.
+// CSV exports are byte-identical to the scalar reference (batch_size=1),
+// on all registered machines, with measurement enabled, and in the presence
+// of divergent lanes (binding-dependent DO trip counts, masked loops,
+// per-lane critical variables steering branches). The batch telemetry
+// itself must stay out of the exports. The units Session::run is built from
+// (api/sweep.hpp) are tested one by one at the end. CI also runs this
+// binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "api/sweep.hpp"
 #include "study/study.hpp"
 #include "suite/suite.hpp"
+#include "support/diagnostics.hpp"
 
 namespace hpf90d {
 namespace {
 
 // The settings the oracle sweeps: batch sizes 1 (scalar), 4, 64, and "the
-// whole sweep in one chunk cap", crossed with serial and pooled workers.
+// whole sweep in one window", crossed with serial and pooled workers.
 const std::vector<int> kWorkerCounts = {1, 4};
 
 std::vector<int> batch_sizes(std::size_t point_count) {
-  return {1, 8, 64, static_cast<int>(point_count)};
+  return {1, 4, 64, static_cast<int>(point_count)};
 }
 
 /// Runs the plan at (batch_size, workers) on a fresh session and returns
@@ -35,16 +39,11 @@ struct Exports {
   api::BatchStats batch;
 };
 
-Exports run_once(const api::ExperimentPlan& plan, int batch_size, int workers,
-                 bool compact_lanes = true, bool speculate = false,
-                 bool order = false) {
+Exports run_once(const api::ExperimentPlan& plan, int batch_size, int workers) {
   api::Session session;
   api::RunOptions opts;
   opts.workers = workers;
   opts.batch_size = batch_size;
-  opts.compact_lanes = compact_lanes;
-  opts.speculate_branches = speculate;
-  opts.order_points = order;
   api::RunReport report = session.run(plan, opts);
   report.wall_seconds = 0.0;
   return Exports{report.ascii(), report.csv(), report.batch};
@@ -61,27 +60,26 @@ void expect_oracle(const api::ExperimentPlan& plan, std::size_t point_count,
   bool saw_recovered = false;
   for (const int batch : batch_sizes(point_count)) {
     for (const int workers : kWorkerCounts) {
-      for (const bool compact : {true, false}) {
-        const Exports e = run_once(plan, batch, workers, compact);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " compact=" << compact;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " compact=" << compact;
-        // every point is accounted for exactly once: priced lockstep, priced
-        // by the scalar engine, or evicted mid-batch and finally priced scalar
-        EXPECT_EQ(
-            e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
-            point_count);
-        if (e.batch.batched_points > 0) saw_batched = true;
-        if (e.batch.evicted_lanes > 0) saw_evicted = true;
-        // a divergent lane is recovered either way: re-batched into a
-        // lockstep refill window (compaction) or replayed by the scalar
-        // engine (compaction off / unmatched keys / failure evictions)
-        if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0)
-          saw_recovered = true;
-      }
+      const Exports e = run_once(plan, batch, workers);
+      EXPECT_EQ(e.ascii, baseline.ascii)
+          << "ascii diverged at batch_size=" << batch << " workers=" << workers;
+      EXPECT_EQ(e.csv, baseline.csv)
+          << "csv diverged at batch_size=" << batch << " workers=" << workers;
+      // every point is accounted for exactly once: priced lockstep, priced
+      // by the scalar engine, or evicted mid-batch and finally priced scalar
+      EXPECT_EQ(
+          e.batch.batched_points + e.batch.scalar_points + e.batch.replayed_points,
+          point_count);
+      // the retired pool/speculation slots stay zero
+      EXPECT_EQ(e.batch.pooled_lanes, 0u);
+      EXPECT_EQ(e.batch.speculated_branches, 0u);
+      EXPECT_EQ(e.batch.speculated_lanes, 0u);
+      if (e.batch.batched_points > 0) saw_batched = true;
+      if (e.batch.evicted_lanes > 0) saw_evicted = true;
+      // a divergent lane is recovered either way: re-batched into a
+      // lockstep refill window or replayed by the scalar engine (lone keys,
+      // failure evictions)
+      if (e.batch.replayed_points > 0 || e.batch.refilled_lanes > 0) saw_recovered = true;
     }
   }
   EXPECT_TRUE(saw_batched) << "no setting ever took the lockstep path";
@@ -128,9 +126,8 @@ TEST(BatchOracle, DirectiveVariantsSplitChunksDeterministically) {
 TEST(BatchOracle, BindingDependentDoTripsForceReplay) {
   // The outer DO trip count is a per-problem binding: lanes from different
   // problems disagree at the first size-dependent scalar loop and are
-  // evicted — then either re-batched by key (compaction) or replayed by
-  // the scalar engine — and must reproduce the scalar report byte for
-  // byte either way.
+  // evicted — then re-batched by key into refill windows — and must
+  // reproduce the scalar report byte for byte.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -200,7 +197,7 @@ TEST(BatchOracle, ForcedDivergenceRefillsLanesWithoutScalarReplay) {
   // binding-dependent DO evicts 12 of the 16 lanes at once. Every nlev
   // group still holds 4 lanes, so keyed re-compaction re-batches all of
   // them into lockstep refill windows and nothing falls back to the scalar
-  // engine; with compaction off every evicted lane is replayed scalar.
+  // engine.
   static const char* const source = R"f90(
 program levels
   parameter (n = 1024)
@@ -225,25 +222,19 @@ end program levels
   const std::size_t points = 4u * 4u;
 
   const Exports compacted =
-      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1,
-               /*compact_lanes=*/true);
+      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1);
   EXPECT_GT(compacted.batch.evicted_lanes, 0u);
   EXPECT_GT(compacted.batch.refilled_lanes, 0u);
   EXPECT_EQ(compacted.batch.replayed_points, 0u)
       << "keyed refill should leave no lane to the scalar replay";
   EXPECT_EQ(compacted.batch.batched_points + compacted.batch.scalar_points, points);
-
-  const Exports replayed =
-      run_once(plan, /*batch_size=*/static_cast<int>(points), /*workers=*/1,
-               /*compact_lanes=*/false);
-  EXPECT_EQ(replayed.batch.refilled_lanes, 0u);
-  EXPECT_GT(replayed.batch.replayed_points, 0u);
   // every lockstep visit — fresh window or keyed refill — keeps at least a
   // full nlev group (4 lanes) active; scalar replay would price 1 at a time
   EXPECT_GT(compacted.batch.mean_lanes_per_visit(), 3.0);
-  // and the exports agree byte for byte regardless
-  EXPECT_EQ(compacted.ascii, replayed.ascii);
-  EXPECT_EQ(compacted.csv, replayed.csv);
+  // and the exports agree byte for byte with the scalar reference
+  const Exports scalar = run_once(plan, /*batch_size=*/1, /*workers=*/1);
+  EXPECT_EQ(compacted.ascii, scalar.ascii);
+  EXPECT_EQ(compacted.csv, scalar.csv);
 }
 
 TEST(BatchOracle, MultiRoundRecompactionStaysDeterministic) {
@@ -251,7 +242,7 @@ TEST(BatchOracle, MultiRoundRecompactionStaysDeterministic) {
   // count, then the refill windows themselves diverge at the second DO and
   // need a second compaction round. Every (na, nb) subgroup still spans the
   // 3 system sizes, so both rounds re-batch cleanly, and the exports must
-  // stay byte-identical across batch size, workers, and compaction.
+  // stay byte-identical across batch size and workers.
   static const char* const source = R"f90(
 program levels2
   parameter (n = 512)
@@ -285,24 +276,22 @@ end program levels2
   // with the whole sweep in one batch, both divergence rounds resolve via
   // refill windows: nothing is left for the scalar replay
   const Exports e = run_once(plan, /*batch_size=*/static_cast<int>(points),
-                             /*workers=*/1, /*compact_lanes=*/true);
+                             /*workers=*/1);
   EXPECT_GT(e.batch.refilled_lanes, 0u);
   EXPECT_EQ(e.batch.replayed_points, 0u);
 }
 
-// --- cross-chunk session divergence pool --------------------------------------
+// --- lone divergent lanes ------------------------------------------------------
 
-TEST(BatchOracle, CrossChunkPoolPairsLoneLanesFromDifferentChunks) {
+TEST(BatchOracle, LoneLanesFromDifferentChunksReplayScalar) {
   // 258 single-nprocs points of one (machine, variant) group: the 256-point
   // chunk granule splits them into two chunks. Exactly one point per chunk
   // carries nlev = 9 (the rest nlev = 2), so each chunk evicts one LONE
-  // rebatchable lane its own re-compaction cannot pair. Pre-pool both
-  // would replay scalar; with the session-wide divergence pool the two
-  // equal-key lanes meet after the chunk barrier and re-enter lockstep
-  // TOGETHER — zero scalar replays — and the exports stay byte-identical
-  // to the scalar path, deterministically for every worker count.
+  // rebatchable lane its own re-compaction cannot pair. Chunks never share
+  // lanes, so both replay on the scalar engine — deterministically for
+  // every worker count — and the exports stay byte-identical.
   static const char* const source = R"f90(
-program pooled
+program lone
   parameter (n = 512)
   real v(n)
 !hpf$ template d(n)
@@ -312,10 +301,10 @@ program pooled
   do it = 1, nlev
     forall (i = 1:n) v(i) = v(i)*0.5 + 1.0
   end do
-end program pooled
+end program lone
 )f90";
   constexpr std::size_t kPoints = 258;  // chunk granule 256 -> two chunks
-  api::ExperimentPlan plan("batch oracle: cross-chunk pool");
+  api::ExperimentPlan plan("batch oracle: lone lanes");
   plan.source(source).machines({"ipsc860"}).nprocs({1});
   for (std::size_t i = 0; i < kPoints; ++i) {
     front::Bindings b;
@@ -325,54 +314,27 @@ end program pooled
     plan.add_problem("p" + std::to_string(i), b);
   }
   plan.runs(1);
+  expect_oracle(plan, kPoints, /*expect_divergence=*/true);
 
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  EXPECT_EQ(baseline.batch.pooled_lanes, 0u);
-
-  const Exports serial = run_once(plan, /*batch_size=*/64, /*workers=*/1);
-  EXPECT_EQ(serial.ascii, baseline.ascii);
-  EXPECT_EQ(serial.csv, baseline.csv);
-  EXPECT_EQ(serial.batch.pooled_lanes, 2u)
-      << "each chunk should export exactly its lone divergent lane";
-  EXPECT_EQ(serial.batch.replayed_points, 0u)
-      << "the pooled pair should re-enter lockstep, not replay scalar";
-  EXPECT_EQ(serial.batch.batched_points, kPoints);
-  EXPECT_GT(serial.batch.refilled_lanes, 0u);
-
-  // The drain is serial and canonically ordered, so telemetry — not just
-  // the payload — is identical under concurrent chunk execution.
-  const Exports pooled = run_once(plan, /*batch_size=*/64, /*workers=*/4);
-  EXPECT_EQ(pooled.ascii, baseline.ascii);
-  EXPECT_EQ(pooled.csv, baseline.csv);
-  EXPECT_EQ(pooled.batch.pooled_lanes, serial.batch.pooled_lanes);
-  EXPECT_EQ(pooled.batch.replayed_points, serial.batch.replayed_points);
-  EXPECT_EQ(pooled.batch.batched_points, serial.batch.batched_points);
-  EXPECT_EQ(pooled.batch.refilled_lanes, serial.batch.refilled_lanes);
-  EXPECT_EQ(pooled.batch.evicted_lanes, serial.batch.evicted_lanes);
-
-  // Compaction off: no pool, both lone lanes replay scalar — still
-  // byte-identical.
-  const Exports nopool = run_once(plan, /*batch_size=*/64, /*workers=*/1,
-                                  /*compact_lanes=*/false);
-  EXPECT_EQ(nopool.batch.pooled_lanes, 0u);
-  EXPECT_GT(nopool.batch.replayed_points, 0u);
-  EXPECT_EQ(nopool.ascii, baseline.ascii);
-  EXPECT_EQ(nopool.csv, baseline.csv);
+  for (const int workers : kWorkerCounts) {
+    const Exports e = run_once(plan, /*batch_size=*/64, workers);
+    EXPECT_EQ(e.batch.replayed_points, 2u)
+        << "each chunk should replay exactly its lone divergent lane";
+    EXPECT_EQ(e.batch.batched_points, kPoints - 2);
+    EXPECT_EQ(e.batch.evicted_lanes, 2u);
+    EXPECT_EQ(e.batch.refilled_lanes, 0u);
+  }
 }
 
-// --- divergence-aware plan ordering -------------------------------------------
+// --- interleaved divergence axes ------------------------------------------------
 
-TEST(BatchOracle, OrderPointsGroupsInterleavedDivergenceAxis) {
+TEST(BatchOracle, InterleavedDivergenceAxisStaysIdentical) {
   // The plan interleaves a divergence axis (nlev, a critical loop bound)
   // with a benign axis (w, a value-only coefficient): plan order alternates
-  // nlev = 2, 7, 2, 7, ... so every unsorted lockstep window mixes both
-  // trip counts and must evict. order_points sorts each segment by the
-  // critical-variable signature, making nlev groups lane neighbours: at
-  // batch_size 4 the ordered run stays fully lockstep with ZERO evictions
-  // while the unsorted run evicts every window — and the report payload is
-  // byte-identical between them, for every batch size and worker count.
+  // nlev = 2, 7, 2, 7, ... so every lockstep window mixes both trip counts
+  // and must evict and refill — with the payload byte-identical throughout.
   static const char* const source = R"f90(
-program ordered
+program interleaved
   parameter (n = 512)
   real v(n)
   real w
@@ -383,9 +345,9 @@ program ordered
   do it = 1, nlev
     forall (i = 1:n) v(i) = v(i)*0.5 + 1.0
   end do
-end program ordered
+end program interleaved
 )f90";
-  api::ExperimentPlan plan("batch oracle: ordered sweep");
+  api::ExperimentPlan plan("batch oracle: interleaved sweep");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2});
   for (const double w : {1.0, 2.0}) {
     for (const long long nlev : {2, 7}) {
@@ -398,46 +360,17 @@ end program ordered
   }
   plan.runs(2);
   const std::size_t points = 2u * 2u * 2u;
-
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-
-  // Byte-identity across ordering x batch size x workers.
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      for (const bool order : {false, true}) {
-        const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                   /*speculate=*/false, order);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " order=" << order;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " order=" << order;
-      }
-    }
-  }
-
-  // Telemetry: at a window size matching the group size, ordering turns an
-  // every-window eviction pattern into pure lockstep.
-  const Exports unsorted = run_once(plan, /*batch_size=*/4, /*workers=*/1,
-                                    /*compact_lanes=*/true, /*speculate=*/false,
-                                    /*order=*/false);
-  const Exports ordered = run_once(plan, /*batch_size=*/4, /*workers=*/1,
-                                   /*compact_lanes=*/true, /*speculate=*/false,
-                                   /*order=*/true);
-  EXPECT_GT(unsorted.batch.evicted_lanes, 0u)
-      << "the interleaved plan should diverge without ordering";
-  EXPECT_EQ(ordered.batch.evicted_lanes, 0u)
-      << "signature ordering should make every window uniform";
-  EXPECT_EQ(ordered.batch.batched_points, points);
+  expect_oracle(plan, points, /*expect_divergence=*/true);
+  EXPECT_GT(run_once(plan, /*batch_size=*/4, /*workers=*/1).batch.evicted_lanes, 0u)
+      << "the interleaved plan should diverge in every window";
 }
 
-TEST(BatchOracle, OrderPointsKeepsMeasurementAndScaledPlansIdentical) {
-  // Ordering must compose with measurement (records carry measured stats
-  // assembled after the reorder) and with weak-scaling plans (problem and
-  // nprocs coupled). The payload stays byte-identical with ordering on.
+TEST(BatchOracle, ScaledPlanWithMeasurementStaysIdentical) {
+  // Weak-scaling plans couple problem and nprocs; records carry measured
+  // stats from the batched measurement pass. The payload stays
+  // byte-identical across batch sizes and workers.
   const suite::BenchmarkApp& app = suite::app("pi");
-  api::ExperimentPlan plan("batch oracle: ordered scaled");
+  api::ExperimentPlan plan("batch oracle: scaled");
   plan.source(app.source).machines({"ipsc860", "cluster"});
   std::vector<api::ScaledCase> cases;
   for (const auto& [size, np] : std::vector<std::pair<long long, int>>{
@@ -450,27 +383,17 @@ TEST(BatchOracle, OrderPointsKeepsMeasurementAndScaledPlansIdentical) {
   }
   plan.scaled_cases(std::move(cases));
   plan.runs(3);
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  for (const int workers : kWorkerCounts) {
-    const Exports e = run_once(plan, /*batch_size=*/64, workers,
-                               /*compact_lanes=*/true, /*speculate=*/false,
-                               /*order=*/true);
-    EXPECT_EQ(e.ascii, baseline.ascii) << "workers=" << workers;
-    EXPECT_EQ(e.csv, baseline.csv) << "workers=" << workers;
-  }
+  expect_oracle(plan, 2u * 4u);
 }
 
-// --- speculative both-sides IF -----------------------------------------------
+// --- divergent IFs ----------------------------------------------------------------
 
-TEST(BatchOracle, SpeculativeIfPricesBothArmsWithoutEviction) {
-  // `w` steers a cheap loop-free-armed IF both ways across lanes; the arms
-  // write DIFFERENT masked arrays, so mispricing either subset would show
-  // up in the estimates. With speculate_branches on, the batch engine walks
-  // both arms with per-lane subsets instead of evicting the minority: the
-  // exports must stay byte-identical to the scalar path and to the
-  // non-speculated batch run, and the IF must stop evicting entirely.
+TEST(BatchOracle, DivergentIfWithMaskedArmsStaysIdentical) {
+  // `w` steers a loop-free-armed IF both ways across lanes; the arms write
+  // DIFFERENT masked arrays, so mispricing either lane subset would show up
+  // in the estimates. The minority side is evicted and refilled by key.
   static const char* const source = R"f90(
-program specif
+program maskedif
   parameter (n = 512)
   real a(n), b(n)
   real w
@@ -485,9 +408,9 @@ program specif
   else
     forall (i = 1:n, b(i) .gt. 16.0) b(i) = b(i)*0.25
   end if
-end program specif
+end program maskedif
 )f90";
-  api::ExperimentPlan plan("batch oracle: speculative if");
+  api::ExperimentPlan plan("batch oracle: masked-arm if");
   plan.source(source).machines({"ipsc860", "cluster"}).nprocs({1, 4});
   for (const double w : {0.5, 1.5, 2.5, 7.0}) {
     front::Bindings b;
@@ -495,49 +418,14 @@ end program specif
     plan.add_problem("w=" + std::to_string(w), b);
   }
   plan.runs(2);
-  const std::size_t points = 2u * 2u * 4u;
-
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  EXPECT_EQ(baseline.batch.scalar_points, points);
-  EXPECT_EQ(baseline.batch.speculated_branches, 0u);
-
-  // Without speculation the IF splits every window and evicts the minority.
-  const Exports evicting = run_once(plan, /*batch_size=*/static_cast<int>(points),
-                                    /*workers=*/1, /*compact_lanes=*/true,
-                                    /*speculate=*/false);
-  EXPECT_GT(evicting.batch.evicted_lanes, 0u);
-  EXPECT_EQ(evicting.batch.speculated_branches, 0u);
-  EXPECT_EQ(evicting.ascii, baseline.ascii);
-  EXPECT_EQ(evicting.csv, baseline.csv);
-
-  // With speculation the IF is the only divergence site, so no lane ever
-  // leaves lockstep — and the payload is unchanged byte for byte.
-  bool saw_speculated = false;
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                 /*speculate=*/true);
-      EXPECT_EQ(e.ascii, baseline.ascii)
-          << "ascii diverged at batch_size=" << batch << " workers=" << workers;
-      EXPECT_EQ(e.csv, baseline.csv)
-          << "csv diverged at batch_size=" << batch << " workers=" << workers;
-      if (batch > 1) {
-        EXPECT_EQ(e.batch.evicted_lanes, 0u)
-            << "speculation should keep every lane in lockstep";
-        if (e.batch.speculated_branches > 0) saw_speculated = true;
-        EXPECT_EQ(e.batch.speculated_lanes >= e.batch.speculated_branches, true);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_speculated) << "no setting ever speculated the IF";
+  expect_oracle(plan, 2u * 2u * 4u, /*expect_divergence=*/true);
 }
 
-TEST(BatchOracle, SpeculationSkipsLoopArmsAndComposesWithRefill) {
-  // The first IF's else-arm contains a binding-dependent DO, so it is not
-  // speculatable (arm cost unbounded): those lanes must still evict and
-  // refill by divergence key. The second IF is cheap and speculates. The
-  // two mechanisms compose in one program and the exports stay
-  // byte-identical to the scalar path throughout.
+TEST(BatchOracle, LoopArmedAndCheapIfsComposeWithRefill) {
+  // The first IF's else-arm contains a DO; the second IF is loop-free.
+  // Both split the lanes, so refill windows born at the first IF diverge
+  // again at the second, and the exports stay byte-identical to the scalar
+  // path throughout.
   static const char* const source = R"f90(
 program mixed
   parameter (n = 256)
@@ -564,7 +452,7 @@ end program mixed
   // u splits the loop-armed IF; w splits the cheap IF. Every u group holds
   // both w values, so the windows the first IF produces — the survivors AND
   // the keyed refill of its evictees — still disagree at the second IF.
-  api::ExperimentPlan plan("batch oracle: mixed speculation");
+  api::ExperimentPlan plan("batch oracle: mixed ifs");
   plan.source(source).machines({"ipsc860"}).nprocs({1, 2, 4});
   for (const double u : {1.0, 9.0}) {
     for (const double w : {0.5, 3.0}) {
@@ -577,28 +465,10 @@ end program mixed
   }
   plan.runs(2);
   const std::size_t points = 2u * 2u * 3u;
-
-  const Exports baseline = run_once(plan, /*batch_size=*/1, /*workers=*/1);
-  for (const int batch : batch_sizes(points)) {
-    for (const int workers : kWorkerCounts) {
-      for (const bool speculate : {false, true}) {
-        const Exports e = run_once(plan, batch, workers, /*compact_lanes=*/true,
-                                   speculate);
-        EXPECT_EQ(e.ascii, baseline.ascii)
-            << "ascii diverged at batch_size=" << batch << " workers=" << workers
-            << " speculate=" << speculate;
-        EXPECT_EQ(e.csv, baseline.csv)
-            << "csv diverged at batch_size=" << batch << " workers=" << workers
-            << " speculate=" << speculate;
-      }
-    }
-  }
-  // Whole-sweep batch, speculation on: the loop-armed IF still evicts (and
-  // refills), while the cheap IF speculates instead of evicting again.
-  const Exports e = run_once(plan, static_cast<int>(points), /*workers=*/1,
-                             /*compact_lanes=*/true, /*speculate=*/true);
+  expect_oracle(plan, points, /*expect_divergence=*/true);
+  const Exports e = run_once(plan, static_cast<int>(points), /*workers=*/1);
   EXPECT_GT(e.batch.evicted_lanes, 0u);
-  EXPECT_GT(e.batch.speculated_branches, 0u);
+  EXPECT_GT(e.batch.refilled_lanes, 0u);
 }
 
 // --- telemetry stays out of the exports ---------------------------------------
@@ -656,6 +526,179 @@ TEST(BatchOracle, StudyExportsByteIdenticalAcrossBatchSizes) {
     EXPECT_EQ(jsons[i], jsons[0]) << "study json diverged at setting " << i;
     EXPECT_EQ(asciis[i], asciis[0]) << "study ascii diverged at setting " << i;
   }
+}
+
+// --- the sweep units (api/sweep.hpp) ----------------------------------------------
+
+// A binding-dependent DO: lanes with different nlev diverge at the loop.
+const char* const kLevelsSource = R"f90(
+program levels
+  parameter (n = 256)
+  real v(n)
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) v(i) = real(i)
+  do it = 1, nlev
+    forall (i = 1:n) v(i) = v(i)*0.5 + 1.0
+  end do
+end program levels
+)f90";
+
+TEST(SweepUnits, ScheduleKeepsPlanOrderAndCapsChunksAtMachineVariantBoundaries) {
+  // 2 machines x 2 variants x 70 problems x 4 nprocs: each (machine,
+  // variant) segment holds 280 points, so the cap cuts it into 256 + 24.
+  const suite::BenchmarkApp& app = suite::app("pi");
+  std::vector<long long> sizes;
+  for (long long i = 0; i < 70; ++i) sizes.push_back(16 + 4 * i);
+  const std::vector<int> nprocs = {1, 2, 4, 8};
+  api::ExperimentPlan plan("sweep units: schedule");
+  plan.source(app.source)
+      .machines({"ipsc860", "cluster"})
+      .nprocs(nprocs)
+      .add_variant("a", {})
+      .add_variant("b", {})
+      .problems_from(sizes, app.bindings)
+      .runs(0);
+  const std::size_t segment = sizes.size() * nprocs.size();
+
+  api::Session session;
+  const api::sweep::Schedule sched = api::sweep::schedule(session, plan, nullptr);
+  ASSERT_EQ(sched.points.size(), 4 * segment);
+  ASSERT_EQ(sched.chunks.size(), 8u);
+
+  // the chunks partition the points in order, never exceed the granule,
+  // and never span a (machine, variant) boundary
+  std::size_t next = 0;
+  for (const api::sweep::Chunk& c : sched.chunks) {
+    EXPECT_EQ(c.begin, next);
+    EXPECT_LT(c.begin, c.end);
+    EXPECT_LE(c.end - c.begin, api::sweep::kChunkGranule);
+    EXPECT_EQ(c.begin / segment, (c.end - 1) / segment) << "chunk crosses a segment";
+    for (std::size_t i = c.begin; i < c.end; ++i) {
+      EXPECT_EQ(sched.points[i].mach, sched.points[c.begin].mach);
+      EXPECT_EQ(sched.points[i].variant, sched.points[c.begin].variant);
+    }
+    next = c.end;
+  }
+  EXPECT_EQ(next, sched.points.size());
+
+  // point i is record i: machine-major, then variant, problem, nprocs
+  api::RunOptions opts;
+  opts.workers = 4;
+  const api::RunReport report = session.run(plan, opts);
+  ASSERT_EQ(report.records.size(), sched.points.size());
+  for (std::size_t i = 0; i < sched.points.size(); ++i) {
+    const api::sweep::Point& pt = sched.points[i];
+    const std::size_t in_segment = i % segment;
+    EXPECT_EQ(*pt.machine, plan.machine_names()[i / (2 * segment)]);
+    EXPECT_EQ(pt.variant, (i / segment) % 2);
+    EXPECT_EQ(pt.problem, &plan.problems()[in_segment / nprocs.size()]);
+    EXPECT_EQ(pt.nprocs, nprocs[in_segment % nprocs.size()]);
+    EXPECT_EQ(report.records[i].machine, *pt.machine);
+    EXPECT_EQ(report.records[i].variant, plan.variants()[pt.variant].name);
+    EXPECT_EQ(report.records[i].problem, pt.problem->name);
+    EXPECT_EQ(report.records[i].nprocs, pt.nprocs);
+  }
+}
+
+TEST(SweepUnits, ExecuteChunkReplaysALoneDivergentLaneScalarAndFillsItsRecord) {
+  // Six lanes of one chunk: five share nlev = 2, one alone takes nlev = 9.
+  // The lone lane is evicted, cannot be paired, and replays scalar.
+  api::ExperimentPlan plan("sweep units: execute_chunk");
+  plan.source(kLevelsSource).machines({"ipsc860"}).nprocs({1});
+  constexpr std::size_t kLone = 3;
+  for (std::size_t i = 0; i < 6; ++i) {
+    front::Bindings b;
+    b.set_int("nlev", i == kLone ? 9 : 2);
+    b.set("pad", static_cast<double>(i));
+    plan.add_problem("p" + std::to_string(i), b);
+  }
+  plan.runs(1);
+
+  api::Session session;
+  const api::sweep::Lowered lowered = api::sweep::lower(session, plan, nullptr);
+  const api::sweep::Schedule sched = api::sweep::schedule(session, plan, nullptr);
+  ASSERT_EQ(sched.chunks.size(), 1u);
+  std::vector<api::RunRecord> records(sched.points.size());
+  core::PredictOptions predict = plan.predict_opts();
+  predict.detailed = false;
+  const api::sweep::Sweep sweep{session,  plan, lowered.programs, sched,
+                                predict, 64,   nullptr,          records};
+  api::sweep::WorkerScratch ws;
+  api::BatchStats tally;
+  api::sweep::execute_chunk(sweep, sched.chunks[0], ws, tally);
+
+  EXPECT_EQ(tally.batched_points, 5u);
+  EXPECT_EQ(tally.evicted_lanes, 1u);
+  EXPECT_EQ(tally.refilled_lanes, 0u);
+  EXPECT_EQ(tally.replayed_points, 1u);
+  EXPECT_EQ(tally.scalar_points, 0u);
+
+  // every record — the replayed one included — equals the scalar reference
+  api::RunOptions scalar;
+  scalar.workers = 1;
+  scalar.batch_size = 1;
+  const api::RunReport reference = api::Session().run(plan, scalar);
+  ASSERT_EQ(reference.records.size(), records.size());
+  const api::RunRecord& lone = records[kLone];
+  EXPECT_EQ(lone.problem, "p3");
+  EXPECT_EQ(lone.machine, "ipsc860");
+  EXPECT_TRUE(lone.measured);
+  EXPECT_GT(lone.comparison.estimated, records[0].comparison.estimated);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].problem, reference.records[i].problem);
+    EXPECT_EQ(records[i].comparison.estimated, reference.records[i].comparison.estimated);
+    EXPECT_EQ(records[i].comparison.measured_mean,
+              reference.records[i].comparison.measured_mean);
+    EXPECT_EQ(records[i].phases.comm, reference.records[i].phases.comm);
+  }
+}
+
+TEST(SweepUnits, LowerRaisesCriticalDiagnosticBeforeAnyPointAndMemoizes) {
+  // `k` is computed from array data and bounds a FORALL: a critical
+  // variable only a binding can resolve.
+  static const char* const source = R"f90(
+program t
+  parameter (n = 32)
+  real v(n)
+  integer k
+!hpf$ template d(n)
+!hpf$ align v(i) with d(i)
+!hpf$ distribute d(block)
+  k = int(sum(v))
+  forall (i = 1:k) v(i) = 0.0
+end program t
+)f90";
+  front::Bindings bound;
+  bound.set_int("k", 16);
+  api::ExperimentPlan bad("sweep units: unbound critical");
+  bad.source(source).nprocs({1, 2}).add_problem("bound", bound).add_problem("unbound", {});
+
+  api::Session session;
+  EXPECT_THROW((void)api::sweep::lower(session, bad, nullptr), support::CompileError);
+  // through Session::run the diagnostic fires before any point runs: no
+  // layout was ever looked up, not even for the bound problem's points
+  EXPECT_THROW((void)session.run(bad), support::CompileError);
+  EXPECT_EQ(session.cache_stats().layout_misses, 0u);
+  EXPECT_EQ(session.cache_stats().layout_hits, 0u);
+
+  // the verdicts are memoized per (program, bound-name set): a second
+  // lowering of the same plan, on the same session, runs no analysis
+  api::Session fresh;
+  api::ExperimentPlan good("sweep units: bound critical");
+  good.source(source)
+      .machines({"ipsc860", "cluster"})
+      .nprocs({1, 2})
+      .add_variant("a", {})
+      .add_variant("b", {})
+      .add_problem("k=16", bound);
+  const api::sweep::Lowered first = api::sweep::lower(fresh, good, nullptr);
+  EXPECT_EQ(first.programs.size(), 2u);
+  EXPECT_EQ(first.critical_analyses, 1u) << "both variants share one compilation";
+  const api::sweep::Lowered second = api::sweep::lower(fresh, good, nullptr);
+  EXPECT_EQ(second.critical_analyses, 0u);
+  EXPECT_EQ(second.programs[0], first.programs[0]);
 }
 
 }  // namespace

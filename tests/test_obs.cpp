@@ -447,8 +447,9 @@ TEST(ServeObs, MetricsEndpointServesPrometheusText) {
   // per-tenant terminal-state counters render as labeled children
   EXPECT_NE(text.find("hpf90d_tenant_jobs{state=\"done\",tenant=\"tenant-a\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("hpf90d_lanes_pooled"), std::string::npos);
-  EXPECT_NE(text.find("hpf90d_branches_speculated"), std::string::npos);
+  // the retired pool/speculation strategies export no gauges
+  EXPECT_EQ(text.find("hpf90d_lanes_pooled"), std::string::npos);
+  EXPECT_EQ(text.find("hpf90d_branches_speculated"), std::string::npos);
   // idle daemon state renders identically on a second scrape
   EXPECT_EQ(client.metrics(), text);
 

@@ -7,14 +7,8 @@
 // disagree. Small platform-dependent float drift below the threshold
 // passes — the artifact pins the study's *conclusions*, not its bytes.
 //
-//   hpf90d_studycheck --check golden.csv [--threshold 0.05] [--speculate] [--order]
+//   hpf90d_studycheck --check golden.csv [--threshold 0.05]
 //   hpf90d_studycheck --write golden.csv     (regenerate the artifact)
-//
-// --speculate / --order run the study with RunOptions::speculate_branches
-// / RunOptions::order_points on. Both are pure execution strategies — the
-// report is byte-identical by construction — so checking against a golden
-// artifact produced without them is exactly the point: any drift they
-// introduce fails the gate.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +25,7 @@ using namespace hpf90d;
 
 /// The canonical study. Any change here must ship with a regenerated
 /// golden artifact (run with --write).
-study::StudyResult run_canonical_study(const api::RunOptions& opts) {
+study::StudyResult run_canonical_study() {
   const auto& app = suite::app("laplace_bb");
   api::Session session;
   study::StudyPlan plan("golden: laplace latency/bandwidth what-if");
@@ -44,7 +38,7 @@ study::StudyResult run_canonical_study(const api::RunOptions& opts) {
       .problems_from({32, 64}, app.bindings)
       .nprocs({2, 4, 8})
       .runs(0);
-  return study::run_study(session, plan, opts);
+  return study::run_study(session, plan);
 }
 
 }  // namespace
@@ -53,7 +47,6 @@ int main(int argc, char** argv) {
   const char* path = nullptr;
   bool write = false;
   double threshold = 0.05;
-  api::RunOptions opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--write") == 0 && i + 1 < argc) {
       write = true;
@@ -62,14 +55,9 @@ int main(int argc, char** argv) {
       path = argv[++i];
     } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
       threshold = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--speculate") == 0) {
-      opts.speculate_branches = true;
-    } else if (std::strcmp(argv[i], "--order") == 0) {
-      opts.order_points = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s --check golden.csv [--threshold 0.05] [--speculate] "
-                   "[--order] | --write golden.csv\n",
+                   "usage: %s --check golden.csv [--threshold 0.05] | --write golden.csv\n",
                    argv[0]);
       return 2;
     }
@@ -79,7 +67,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const study::StudyResult current = run_canonical_study(opts);
+  const study::StudyResult current = run_canonical_study();
 
   if (write) {
     std::ofstream out(path, std::ios::binary);
