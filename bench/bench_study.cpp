@@ -9,7 +9,10 @@
 //                     a long-lived study service sees (machine models,
 //                     programs, and layouts all cached),
 //   * analysis      — crossover/scalability/bottleneck passes plus the
-//                     deterministic CSV/JSON exports over a warm result.
+//                     deterministic CSV/JSON exports over a warm result,
+//                     and the same passes over a synthetic 48-machine
+//                     report built in memory (no study runs, so the M^2
+//                     machine-pair term shows whatever STUDY_POINTS says).
 //
 // Run:  bench_study --benchmark_out=BENCH_study.json --benchmark_out_format=json
 // (the harness injects those flags itself when none are given; STUDY_POINTS
@@ -18,10 +21,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "machine/whatif.hpp"
 #include "study/study.hpp"
 #include "suite/suite.hpp"
 
@@ -122,6 +127,57 @@ void BM_StudyAnalysisAndExports(benchmark::State& state) {
                           static_cast<int64_t>(result.report.records.size()));
 }
 BENCHMARK(BM_StudyAnalysisAndExports)->Unit(benchmark::kMillisecond);
+
+/// A synthetic knob-grid report: 48 machines (6 latency x 4 bandwidth x 2
+/// cpu settings) x 3 variants x one problem x 8 processor counts, with
+/// times from a compute/communication model whose orderings flip along
+/// nprocs — the shape of a large section-7 study, built without running one.
+study::StudyResult synthetic_48_machine_study() {
+  study::StudyResult s;
+  s.title = "synthetic 48-machine study";
+  s.base_machine = "ipsc860";
+  const std::vector<std::string> variants = {"(block,block)", "(block,*)", "(*,block)"};
+  for (const double lat : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
+    for (const double bw : {0.5, 1.0, 2.0, 4.0}) {
+      for (const double cpu : {1.0, 2.0}) {
+        study::MachinePoint pt;
+        pt.name = "synthetic/latency=" + std::to_string(lat) +
+                  "+bandwidth=" + std::to_string(bw) + "+cpu=" + std::to_string(cpu);
+        pt.params = machine::WhatIfParams{lat, bw, cpu};
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+          for (int np = 1; np <= 128; np *= 2) {
+            api::RunRecord r;
+            r.machine = pt.name;
+            r.variant = variants[v];
+            r.problem = "n=256";
+            r.nprocs = np;
+            r.phases.comp = 1.0 / (cpu * np) * (1.0 + 0.1 * static_cast<double>(v));
+            r.phases.comm = std::log2(2.0 * np) * (0.002 * lat + 0.01 / bw) *
+                            (1.0 + 0.4 * static_cast<double>(2 - v));
+            r.comparison.estimated = r.phases.comp + r.phases.comm;
+            s.report.records.push_back(std::move(r));
+          }
+        }
+        s.machine_points.push_back(std::move(pt));
+      }
+    }
+  }
+  return s;
+}
+
+void BM_StudyAnalysis_48machines(benchmark::State& state) {
+  const study::StudyResult result = synthetic_48_machine_study();
+  std::size_t crossovers = 0;
+  for (auto _ : state) {
+    crossovers = result.crossovers().size();
+    benchmark::DoNotOptimize(result.scalability());
+    benchmark::DoNotOptimize(result.csv());
+  }
+  state.counters["crossovers"] = static_cast<double>(crossovers);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(result.report.records.size()));
+}
+BENCHMARK(BM_StudyAnalysis_48machines)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -38,7 +38,25 @@ void MachineRegistry::register_machine(std::string name, MachineFactory factory,
       ++it;
     }
   }
-  entries_[std::move(name)] = Entry{std::move(factory), std::move(description)};
+  entries_[std::move(name)] =
+      Entry{std::move(factory), std::move(description), std::string(), ++serials_};
+}
+
+bool MachineRegistry::register_derived(std::string name, std::string identity,
+                                       MachineFactory factory, std::string description) {
+  if (identity.empty()) throw std::invalid_argument("machine identity must be non-empty");
+  const std::lock_guard<std::recursive_mutex> lock(mutex_);
+  const auto it = entries_.find(name);
+  if (it != entries_.end() && it->second.identity == identity) return false;
+  register_machine(name, std::move(factory), std::move(description));
+  entries_.find(name)->second.identity = std::move(identity);
+  return true;
+}
+
+std::uint64_t MachineRegistry::serial(std::string_view name) const {
+  const std::lock_guard<std::recursive_mutex> lock(mutex_);
+  const auto it = entries_.find(name);
+  return it == entries_.end() ? 0 : it->second.serial;
 }
 
 void MachineRegistry::register_whatif(std::string name, machine::WhatIfParams params,

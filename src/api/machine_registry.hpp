@@ -15,6 +15,7 @@
 // returned by get() stay valid for the registry's lifetime.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,6 +48,21 @@ class MachineRegistry {
   void register_machine(std::string name, MachineFactory factory,
                         std::string description = "");
 
+  /// Registers `name` as standing for `identity` (a non-empty
+  /// description of what the factory builds, e.g. a base machine plus its
+  /// knob settings). When `name` already stands for an equal identity the
+  /// call is a no-op: cached models stay cached, get()'s references keep
+  /// pointing at them and nothing is retired. Otherwise it behaves as
+  /// register_machine. Returns whether it registered.
+  bool register_derived(std::string name, std::string identity, MachineFactory factory,
+                        std::string description = "");
+
+  /// A registry-wide serial number of `name`'s current registration (it
+  /// changes whenever `name` is re-registered); 0 when `name` is not
+  /// registered. Derived machines put their base's serial into their
+  /// identity, so replacing the base re-derives them.
+  [[nodiscard]] std::uint64_t serial(std::string_view name) const;
+
   /// Registers a named what-if derivative of the iPSC/860 (paper §7 design
   /// evaluation): latency/bandwidth/cpu scale knobs applied to every SAU.
   void register_whatif(std::string name, machine::WhatIfParams params,
@@ -71,6 +87,8 @@ class MachineRegistry {
   struct Entry {
     MachineFactory factory;
     std::string description;
+    std::string identity;  // "" unless registered through register_derived
+    std::uint64_t serial = 0;
   };
   /// Looks up an entry; the caller must hold mutex_.
   [[nodiscard]] const Entry& entry_locked(std::string_view name) const;
@@ -79,6 +97,7 @@ class MachineRegistry {
   // calling back into get() on the same thread.
   mutable std::recursive_mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;
+  std::uint64_t serials_ = 0;  // last serial handed out
   // Models live on the heap so get()'s references stay valid for the
   // registry's lifetime even when a re-registration retires an instance.
   mutable std::map<std::pair<std::string, int>, std::unique_ptr<machine::MachineModel>,

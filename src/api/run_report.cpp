@@ -1,11 +1,14 @@
 #include "api/run_report.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <tuple>
 
+#include "support/codec.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -17,12 +20,17 @@ constexpr const char* kCsvHeader =
     "machine,variant,problem,nprocs,measured,estimated,measured_mean,"
     "measured_min,measured_max,measured_stddev";
 
-/// CSV fields never contain commas by construction (names come from
-/// registry keys and plan labels); escape defensively anyway.
-std::string csv_field(const std::string& s) {
-  std::string out = s;
-  std::replace(out.begin(), out.end(), ',', ';');
-  return out;
+/// Bytes a %.17g double takes at most, plus its separator.
+constexpr std::size_t kNumBytes = 25;
+
+/// The first three cells of a row: machine,variant,problem.
+void append_names(std::string& out, const std::string& machine,
+                  const std::string& variant, const std::string& problem) {
+  support::append_csv_field(out, machine);
+  out += ',';
+  support::append_csv_field(out, variant);
+  out += ',';
+  support::append_csv_field(out, problem);
 }
 
 }  // namespace
@@ -76,15 +84,26 @@ std::string RunReport::ascii() const {
 }
 
 std::string RunReport::csv() const {
-  std::string out = kCsvHeader;
+  std::size_t bytes = std::strlen(kCsvHeader) + 1;
+  for (const auto& r : records) {
+    bytes += r.machine.size() + r.variant.size() + r.problem.size() + 16 + 5 * kNumBytes;
+  }
+  std::string out;
+  out.reserve(bytes);
+  out += kCsvHeader;
   out += '\n';
   for (const auto& r : records) {
-    out += support::strfmt(
-        "%s,%s,%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-        csv_field(r.machine).c_str(), csv_field(r.variant).c_str(),
-        csv_field(r.problem).c_str(), r.nprocs, r.measured ? 1 : 0,
-        r.comparison.estimated, r.comparison.measured_mean, r.comparison.measured_min,
-        r.comparison.measured_max, r.comparison.measured_stddev);
+    append_names(out, r.machine, r.variant, r.problem);
+    out += ',';
+    support::append_int(out, r.nprocs);
+    out += r.measured ? ",1" : ",0";
+    for (const double v : {r.comparison.estimated, r.comparison.measured_mean,
+                           r.comparison.measured_min, r.comparison.measured_max,
+                           r.comparison.measured_stddev}) {
+      out += ',';
+      support::append_g17(out, v);
+    }
+    out += '\n';
   }
   return out;
 }
@@ -131,15 +150,21 @@ std::string ReportDiff::csv() const {
       "machine,variant,problem,nprocs,estimated_before,estimated_after,delta,"
       "delta_pct,measured,measured_before,measured_after,measured_delta,"
       "measured_delta_pct,stddev_before,stddev_after,significant\n";
+  const auto nums = [&out](std::initializer_list<double> values) {
+    for (const double v : values) {
+      out += ',';
+      support::append_g17(out, v);
+    }
+  };
   for (const auto& r : records) {
-    out += support::strfmt(
-        "%s,%s,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,"
-        "%.17g,%d\n",
-        csv_field(r.machine).c_str(), csv_field(r.variant).c_str(),
-        csv_field(r.problem).c_str(), r.nprocs, r.estimated_before, r.estimated_after,
-        r.delta(), r.delta_pct(), r.measured ? 1 : 0, r.measured_before,
-        r.measured_after, r.measured_delta(), r.measured_delta_pct(), r.stddev_before,
-        r.stddev_after, r.significant() ? 1 : 0);
+    append_names(out, r.machine, r.variant, r.problem);
+    out += ',';
+    support::append_int(out, r.nprocs);
+    nums({r.estimated_before, r.estimated_after, r.delta(), r.delta_pct()});
+    out += r.measured ? ",1" : ",0";
+    nums({r.measured_before, r.measured_after, r.measured_delta(), r.measured_delta_pct(),
+          r.stddev_before, r.stddev_after});
+    out += r.significant() ? ",1\n" : ",0\n";
   }
   return out;
 }
@@ -184,226 +209,74 @@ ReportDiff RunReport::diff(const RunReport& before, const RunReport& after) {
   return out;
 }
 
-namespace {
-
-// --- JSON helpers (same conventions as study_result.cpp: %.17g numbers,
-// minimal escaping, a tiny recursive-descent reader that fails loudly).
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += support::strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jnum(double v) { return support::strfmt("%.17g", v); }
-std::string jnum(std::uint64_t v) {
-  return support::strfmt("%llu", static_cast<unsigned long long>(v));
-}
-
-/// Strict reader for the output of RunReport::json(): fixed key order, so
-/// any schema drift (renamed, missing, or reordered keys) throws instead
-/// of silently zero-filling.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void key(const char* name) {
-    const std::string got = string();
-    if (got != name) fail("expected key \"" + std::string(name) + "\", got \"" + got + '"');
-    expect(':');
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v += static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape digit");
-            }
-            if (v > 0x7f) fail("non-ASCII \\u escape unsupported");
-            c = static_cast<char>(v);
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' ||
-          c == 'E' || c == 'i' || c == 'n' || c == 'f' || c == 'a') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return 0;  // unreachable
-  }
-
-  std::uint64_t unsigned_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    if (pos_ == start) fail("expected unsigned integer");
-    try {
-      return std::stoull(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed unsigned integer");
-    }
-    return 0;  // unreachable
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected boolean");
-    return false;  // unreachable
-  }
-
-  void end() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing bytes after document");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("RunReport::from_json: " + why + " at offset " +
-                                std::to_string(pos_));
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string RunReport::json() const {
-  std::string out = "{\"title\":\"" + json_escape(title) + "\",";
-  out += "\"wall_seconds\":" + jnum(wall_seconds) + ",";
-  out += "\"cache\":{";
-  out += "\"compile_hits\":" + jnum(static_cast<std::uint64_t>(cache.compile_hits)) + ",";
-  out += "\"compile_misses\":" + jnum(static_cast<std::uint64_t>(cache.compile_misses)) + ",";
-  out += "\"layout_hits\":" + jnum(static_cast<std::uint64_t>(cache.layout_hits)) + ",";
-  out += "\"layout_misses\":" + jnum(static_cast<std::uint64_t>(cache.layout_misses)) + ",";
-  out += "\"layout_evictions\":" + jnum(static_cast<std::uint64_t>(cache.layout_evictions)) + ",";
-  out += "\"layout_spill_hits\":" + jnum(static_cast<std::uint64_t>(cache.layout_spill_hits)) + ",";
-  out += "\"layout_capacity\":" + jnum(static_cast<std::uint64_t>(cache.layout_capacity)) + "},";
-  out += "\"batch\":{";
-  out += "\"batched_points\":" + jnum(static_cast<std::uint64_t>(batch.batched_points)) + ",";
-  out += "\"scalar_points\":" + jnum(static_cast<std::uint64_t>(batch.scalar_points)) + ",";
-  out += "\"replayed_points\":" + jnum(static_cast<std::uint64_t>(batch.replayed_points)) + ",";
-  out += "\"ir_visits\":" + jnum(batch.ir_visits) + ",";
-  out += "\"lane_visits\":" + jnum(batch.lane_visits) + ",";
-  out += "\"evicted_lanes\":" + jnum(batch.evicted_lanes) + ",";
-  out += "\"refilled_lanes\":" + jnum(batch.refilled_lanes) + ",";
-  out += "\"pooled_lanes\":" + jnum(batch.pooled_lanes) + ",";
-  out += "\"simd_stripes\":" + jnum(batch.simd_stripes) + ",";
-  out += "\"speculated_branches\":" + jnum(batch.speculated_branches) + ",";
-  out += "\"speculated_lanes\":" + jnum(batch.speculated_lanes) + "},";
-  out += "\"records\":[";
+  std::size_t bytes = 1024 + title.size();
+  for (const auto& r : records) {
+    bytes += r.machine.size() + r.variant.size() + r.problem.size() + 200 + 9 * kNumBytes;
+  }
+  std::string out;
+  out.reserve(bytes);
+  const auto num = [&out](const char* key, double v) {
+    out += key;
+    support::append_g17(out, v);
+  };
+  const auto count = [&out](const char* key, std::uint64_t v) {
+    out += key;
+    support::append_uint(out, v);
+  };
+  out += "{\"title\":\"";
+  support::append_json_escaped(out, title);
+  num("\",\"wall_seconds\":", wall_seconds);
+  count(",\"cache\":{\"compile_hits\":", cache.compile_hits);
+  count(",\"compile_misses\":", cache.compile_misses);
+  count(",\"layout_hits\":", cache.layout_hits);
+  count(",\"layout_misses\":", cache.layout_misses);
+  count(",\"layout_evictions\":", cache.layout_evictions);
+  count(",\"layout_spill_hits\":", cache.layout_spill_hits);
+  count(",\"layout_capacity\":", cache.layout_capacity);
+  count("},\"batch\":{\"batched_points\":", batch.batched_points);
+  count(",\"scalar_points\":", batch.scalar_points);
+  count(",\"replayed_points\":", batch.replayed_points);
+  count(",\"ir_visits\":", batch.ir_visits);
+  count(",\"lane_visits\":", batch.lane_visits);
+  count(",\"evicted_lanes\":", batch.evicted_lanes);
+  count(",\"refilled_lanes\":", batch.refilled_lanes);
+  count(",\"pooled_lanes\":", batch.pooled_lanes);
+  count(",\"simd_stripes\":", batch.simd_stripes);
+  count(",\"speculated_branches\":", batch.speculated_branches);
+  count(",\"speculated_lanes\":", batch.speculated_lanes);
+  out += "},\"records\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
     if (i > 0) out += ',';
-    out += "\n{\"machine\":\"" + json_escape(r.machine) + "\",";
-    out += "\"variant\":\"" + json_escape(r.variant) + "\",";
-    out += "\"problem\":\"" + json_escape(r.problem) + "\",";
-    out += "\"nprocs\":" + std::to_string(r.nprocs) + ",";
-    out += std::string("\"measured\":") + (r.measured ? "true" : "false") + ",";
-    out += "\"estimated\":" + jnum(r.comparison.estimated) + ",";
-    out += "\"measured_mean\":" + jnum(r.comparison.measured_mean) + ",";
-    out += "\"measured_min\":" + jnum(r.comparison.measured_min) + ",";
-    out += "\"measured_max\":" + jnum(r.comparison.measured_max) + ",";
-    out += "\"measured_stddev\":" + jnum(r.comparison.measured_stddev) + ",";
-    out += "\"phases\":{";
-    out += "\"comp\":" + jnum(r.phases.comp) + ",";
-    out += "\"comm\":" + jnum(r.phases.comm) + ",";
-    out += "\"overhead\":" + jnum(r.phases.overhead) + ",";
-    out += "\"wait\":" + jnum(r.phases.wait) + "}}";
+    out += "\n{\"machine\":\"";
+    support::append_json_escaped(out, r.machine);
+    out += "\",\"variant\":\"";
+    support::append_json_escaped(out, r.variant);
+    out += "\",\"problem\":\"";
+    support::append_json_escaped(out, r.problem);
+    out += "\",\"nprocs\":";
+    support::append_int(out, r.nprocs);
+    out += r.measured ? ",\"measured\":true" : ",\"measured\":false";
+    num(",\"estimated\":", r.comparison.estimated);
+    num(",\"measured_mean\":", r.comparison.measured_mean);
+    num(",\"measured_min\":", r.comparison.measured_min);
+    num(",\"measured_max\":", r.comparison.measured_max);
+    num(",\"measured_stddev\":", r.comparison.measured_stddev);
+    num(",\"phases\":{\"comp\":", r.phases.comp);
+    num(",\"comm\":", r.phases.comm);
+    num(",\"overhead\":", r.phases.overhead);
+    num(",\"wait\":", r.phases.wait);
+    out += "}}";
   }
   out += "]}\n";
   return out;
 }
 
 RunReport RunReport::from_json(std::string_view text) {
-  JsonReader in(text);
+  // Fixed key order: any schema drift (renamed, missing, or reordered keys)
+  // throws instead of silently zero-filling.
+  support::JsonCursor in(text, "RunReport::from_json");
   RunReport report;
   in.expect('{');
   in.key("title");
@@ -478,7 +351,7 @@ RunReport RunReport::from_json(std::string_view text) {
       r.problem = in.string();
       in.expect(',');
       in.key("nprocs");
-      r.nprocs = static_cast<int>(in.number());
+      r.nprocs = in.integer();
       in.expect(',');
       in.key("measured");
       r.measured = in.boolean();
@@ -520,6 +393,11 @@ RunReport RunReport::from_json(std::string_view text) {
 RunReport RunReport::from_csv(std::string_view text) {
   RunReport report;
   bool saw_header = false;
+  report.records.reserve(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+  std::vector<std::string_view> cells;
+  const auto number = [](std::string_view cell) {
+    return support::cell_double(cell, "RunReport::from_csv");
+  };
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
@@ -535,7 +413,7 @@ RunReport RunReport::from_csv(std::string_view text) {
       saw_header = true;
       continue;
     }
-    const auto cells = support::split(line, ',');
+    support::split_fields(line, ',', cells);
     if (cells.size() != 10) {
       throw std::invalid_argument("RunReport::from_csv: expected 10 fields, got " +
                                   std::to_string(cells.size()) + " in: " +
@@ -545,13 +423,13 @@ RunReport RunReport::from_csv(std::string_view text) {
     r.machine = cells[0];
     r.variant = cells[1];
     r.problem = cells[2];
-    r.nprocs = std::stoi(cells[3]);
-    r.measured = std::stoi(cells[4]) != 0;
-    r.comparison.estimated = std::stod(cells[5]);
-    r.comparison.measured_mean = std::stod(cells[6]);
-    r.comparison.measured_min = std::stod(cells[7]);
-    r.comparison.measured_max = std::stod(cells[8]);
-    r.comparison.measured_stddev = std::stod(cells[9]);
+    r.nprocs = support::cell_int(cells[3], "RunReport::from_csv");
+    r.measured = support::cell_flag(cells[4], "RunReport::from_csv");
+    r.comparison.estimated = number(cells[5]);
+    r.comparison.measured_mean = number(cells[6]);
+    r.comparison.measured_min = number(cells[7]);
+    r.comparison.measured_max = number(cells[8]);
+    r.comparison.measured_stddev = number(cells[9]);
     report.records.push_back(std::move(r));
   }
   if (!saw_header) throw std::invalid_argument("RunReport::from_csv: empty input");

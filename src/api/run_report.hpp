@@ -226,8 +226,10 @@ struct RunReport {
   [[nodiscard]] std::string csv() const;
 
   /// Parses the output of csv() back into records (title/cache/wall are
-  /// not part of the CSV payload). Throws std::invalid_argument on a
-  /// malformed header or row.
+  /// not part of the CSV payload). Numeric cells must be whole numbers as
+  /// the writer emits them (support::parse_double/parse_int); throws
+  /// std::invalid_argument on a malformed header, row or cell, including
+  /// out-of-range values.
   [[nodiscard]] static RunReport from_csv(std::string_view text);
 
   /// Full JSON export: unlike csv(), this carries everything — title,

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -8,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -84,6 +84,13 @@ void ExperimentServer::start() {
                              options_.socket_path + ": " + why);
   }
 
+  if (::pipe2(wake_fds_, O_CLOEXEC) < 0) {
+    const std::string why = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("ExperimentServer: wake pipe: " + why);
+  }
+
   stopping_.store(false);
   running_.store(true);
   acceptor_ = std::thread([this] { accept_loop(); });
@@ -94,9 +101,31 @@ void ExperimentServer::start() {
   }
 }
 
+void ExperimentServer::request_stop() noexcept {
+  stopping_.store(true);
+  if (wake_fds_[1] >= 0) {
+    const char byte = 1;
+    (void)!::write(wake_fds_[1], &byte, 1);
+  }
+}
+
+bool ExperimentServer::wait_readable(int fd) const {
+  pollfd pfds[2] = {{fd, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+  while (!stopping_.load()) {
+    const int rc = ::poll(pfds, 2, -1);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (pfds[1].revents != 0) return false;
+    if (pfds[0].revents != 0) return true;
+  }
+  return false;
+}
+
 void ExperimentServer::stop() {
   if (!running_.load() && !acceptor_.joinable()) return;
-  stopping_.store(true);
+  request_stop();
   queue_.shutdown();
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& t : executors_) {
@@ -114,16 +143,16 @@ void ExperimentServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  for (int& fd : wake_fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
   ::unlink(options_.socket_path.c_str());
   running_.store(false);
 }
 
 void ExperimentServer::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) continue;
+  while (wait_readable(listen_fd_)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     const std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -134,10 +163,11 @@ void ExperimentServer::accept_loop() {
 void ExperimentServer::handle_connection(int fd) {
   std::string tenant = "anonymous";
   try {
-    while (!stopping_.load()) {
+    while (wait_readable(fd)) {
       Frame request;
-      const ReadStatus st = try_read_frame(fd, request, 200);
-      if (st == ReadStatus::Timeout) continue;  // re-check stopping_
+      // the socket is readable: a frame (or a clean close) is at hand
+      const ReadStatus st = try_read_frame(fd, request, 0);
+      if (st == ReadStatus::Timeout) continue;
       if (st == ReadStatus::Eof) break;
 
       Frame reply;
@@ -220,7 +250,7 @@ void ExperimentServer::handle_connection(int fd) {
         case MsgType::Shutdown: {
           reply.type = MsgType::ShutdownAck;
           write_frame(fd, reply);
-          stopping_.store(true);
+          request_stop();
           queue_.shutdown();
           ::close(fd);
           return;
@@ -437,12 +467,9 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
   std::array<std::uint64_t, 10> last{};
   for (std::uint64_t i = 0; i < count; ++i) {
     if (i > 0) {
-      // sleep in 50ms slices so shutdown is never blocked on a stream
-      for (std::uint64_t slept = 0; slept < interval_ms && !stopping_.load();
-           slept += 50) {
-        const std::uint64_t slice = std::min<std::uint64_t>(50, interval_ms - slept);
-        std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      }
+      // wait on the wake pipe, so shutdown is never blocked on a stream
+      pollfd wake{wake_fds_[0], POLLIN, 0};
+      (void)::poll(&wake, 1, static_cast<int>(interval_ms));
       if (stopping_.load()) break;
     }
     const ServerStats snapshot = stats();

@@ -147,6 +147,11 @@ class ExperimentServer {
   };
 
   void accept_loop();
+  /// Sets stopping_ and makes the wake pipe readable, so every thread
+  /// blocked in a poll on it returns at once.
+  void request_stop() noexcept;
+  /// Blocks until `fd` is readable (true) or a stop was requested (false).
+  [[nodiscard]] bool wait_readable(int fd) const;
   void executor_loop();
   void handle_connection(int fd);
   /// Decodes and runs one job, producing its encoded outcome.
@@ -167,6 +172,10 @@ class ExperimentServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   int listen_fd_ = -1;
+  // Self-pipe: stop() writes one byte and never drains it, so the accept
+  // loop and every connection thread poll on [0] next to their socket and
+  // wake immediately instead of waiting out a timeout.
+  int wake_fds_[2] = {-1, -1};
   std::thread acceptor_;
   std::vector<std::thread> executors_;
   std::mutex conn_mutex_;

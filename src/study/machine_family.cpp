@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::study {
@@ -84,10 +85,21 @@ std::vector<std::string> MachineFamily::register_into(
   std::vector<std::string> names;
   api::MachineRegistry* reg = &registry;
   const std::string base = base_;
+  // A point stands for (base registration, knob settings): re-registering
+  // an unchanged point keeps its cached models instead of retiring them.
+  std::string base_identity = base;
+  base_identity += '#';
+  support::append_uint(base_identity, registry.serial(base));
   std::vector<MachinePoint> pts = points();
   for (MachinePoint& pt : pts) {
-    registry.register_machine(
-        pt.name,
+    std::string identity = base_identity;
+    for (const double v :
+         {pt.params.latency_scale, pt.params.bandwidth_scale, pt.params.cpu_scale}) {
+      identity += ' ';
+      support::append_g17(identity, v);
+    }
+    registry.register_derived(
+        pt.name, std::move(identity),
         [reg, base, params = pt.params](int nodes) {
           return machine::apply_whatif(machine::MachineModel(reg->get(base, nodes)),
                                        params);

@@ -70,8 +70,11 @@ class MachineFamily {
   /// commas, so CSV exports carry them verbatim.
   [[nodiscard]] std::vector<MachinePoint> points() const;
 
-  /// Registers every grid point into `registry` (same-named entries are
-  /// replaced) and returns the registered names in grid order. The point
+  /// Registers every grid point into `registry` and returns the
+  /// registered names in grid order. A point already registered for the
+  /// same base registration and knob settings is left as it is (its cached
+  /// models stay, so a warm loop re-running one study allocates nothing
+  /// here); other same-named entries are replaced. The point
   /// factories resolve base() through `registry` itself — the registry
   /// lock is recursive, and composition with builtins or user machines
   /// comes for free — so `registry` must outlive the registrations.

@@ -1,14 +1,17 @@
 #include "study/study_result.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <functional>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "support/codec.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -20,250 +23,193 @@ constexpr const char* kCsvHeader =
     "machine,variant,problem,nprocs,measured,estimated,measured_mean,"
     "measured_min,measured_max,measured_stddev,comp,comm,overhead,wait";
 
-std::string csv_field(const std::string& s) {
-  std::string out = s;
-  std::replace(out.begin(), out.end(), ',', ';');
-  return out;
-}
+/// The shared scaffolding of every analysis pass. Machines, variants and
+/// problems are interned to dense ids in first-appearance order; the
+/// report's points are then sorted by (machine, variant, problem, nprocs)
+/// ids, so every (machine, variant, problem) curve is one contiguous run
+/// ascending in nprocs. Building costs O(n log n) and O(n) memory for n
+/// records, whatever the axis product; the first record wins on duplicate
+/// keys (later ones are dropped from the index).
+class SweepIndex {
+ public:
+  struct Point {
+    std::uint32_t m, v, p;
+    int nprocs;
+    std::uint32_t record;  // index into the report; the tie-break of the sort
+    double estimated;      // the record's estimate, kept here for the scans
+  };
+  /// One (machine, variant, problem) curve: points_[begin, end).
+  struct Series {
+    std::uint32_t m, v, p;
+    std::uint32_t begin, end;
+  };
 
-/// First-appearance orders of the sweep axes plus a point lookup — the
-/// shared scaffolding of every analysis pass.
-struct SweepIndex {
-  std::vector<std::string> machines, variants, problems;
-  std::vector<int> nprocs;  // ascending
-  std::map<std::tuple<std::string_view, std::string_view, std::string_view, int>,
-           const api::RunRecord*>
-      by_key;
-
-  explicit SweepIndex(const api::RunReport& report) {
-    std::set<std::string_view> seen_m, seen_v, seen_p;
-    std::set<int> seen_np;
-    for (const auto& r : report.records) {
-      if (seen_m.insert(r.machine).second) machines.push_back(r.machine);
-      if (seen_v.insert(r.variant).second) variants.push_back(r.variant);
-      if (seen_p.insert(r.problem).second) problems.push_back(r.problem);
-      seen_np.insert(r.nprocs);
-      by_key.emplace(std::make_tuple(std::string_view(r.machine),
-                                     std::string_view(r.variant),
-                                     std::string_view(r.problem), r.nprocs),
-                     &r);
+  explicit SweepIndex(const api::RunReport& report) : report_(report) {
+    const auto& recs = report.records;
+    points_.reserve(recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      const api::RunRecord& r = recs[i];
+      points_.push_back(Point{machines_.intern(r.machine), variants_.intern(r.variant),
+                              problems_.intern(r.problem), r.nprocs,
+                              static_cast<std::uint32_t>(i), r.comparison.estimated});
     }
-    nprocs.assign(seen_np.begin(), seen_np.end());
+    std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {
+      return std::tie(a.m, a.v, a.p, a.nprocs, a.record) <
+             std::tie(b.m, b.v, b.p, b.nprocs, b.record);
+    });
+    // keep the first record of every key: it sorts first among its duplicates
+    points_.erase(std::unique(points_.begin(), points_.end(),
+                              [](const Point& a, const Point& b) {
+                                return same_curve(a, b) && a.nprocs == b.nprocs;
+                              }),
+                  points_.end());
+    for (std::uint32_t i = 0; i < points_.size(); ++i) {
+      if (series_.empty() || !same_curve(points_[series_.back().begin], points_[i])) {
+        series_.push_back(Series{points_[i].m, points_[i].v, points_[i].p, i, i});
+      }
+      series_.back().end = i + 1;
+    }
   }
 
-  [[nodiscard]] const api::RunRecord* find(std::string_view m, std::string_view v,
-                                           std::string_view p, int np) const {
-    const auto it = by_key.find(std::make_tuple(m, v, p, np));
-    return it == by_key.end() ? nullptr : it->second;
+  [[nodiscard]] std::string_view machine(std::uint32_t id) const {
+    return machines_.names[id];
   }
+  [[nodiscard]] std::string_view variant(std::uint32_t id) const {
+    return variants_.names[id];
+  }
+  [[nodiscard]] std::string_view problem(std::uint32_t id) const {
+    return problems_.names[id];
+  }
+
+  /// Every curve, in (machine, variant, problem) first-appearance order.
+  [[nodiscard]] const std::vector<Series>& series() const noexcept { return series_; }
+  [[nodiscard]] const Point& point(std::uint32_t i) const { return points_[i]; }
+
+  /// The first record with this key, or nullptr: three hash probes and a
+  /// binary search, O(log n).
+  [[nodiscard]] const api::RunRecord* find(std::string_view m, std::string_view v,
+                                           std::string_view p, int nprocs) const {
+    const auto mi = machines_.find(m);
+    const auto vi = variants_.find(v);
+    const auto pi = problems_.find(p);
+    if (!mi || !vi || !pi) return nullptr;
+    const Point key{*mi, *vi, *pi, nprocs, 0, 0.0};
+    const auto it = std::lower_bound(
+        points_.begin(), points_.end(), key, [](const Point& a, const Point& b) {
+          return std::tie(a.m, a.v, a.p, a.nprocs) < std::tie(b.m, b.v, b.p, b.nprocs);
+        });
+    if (it == points_.end() || !same_curve(*it, key) || it->nprocs != nprocs) {
+      return nullptr;
+    }
+    return &report_.records[it->record];
+  }
+
+ private:
+  struct Axis {
+    std::unordered_map<std::string_view, std::uint32_t> ids;
+    std::vector<std::string_view> names;  // by id
+    std::uint32_t last = 0;               // the previous record's id
+
+    std::uint32_t intern(std::string_view name) {
+      // grid reports repeat a name across consecutive records: compare
+      // with the previous one before hashing
+      if (!names.empty() && names[last] == name) return last;
+      const auto [it, fresh] = ids.try_emplace(name, static_cast<std::uint32_t>(names.size()));
+      if (fresh) names.push_back(name);
+      return last = it->second;
+    }
+    [[nodiscard]] std::optional<std::uint32_t> find(std::string_view name) const {
+      const auto it = ids.find(name);
+      if (it == ids.end()) return std::nullopt;
+      return it->second;
+    }
+  };
+  static bool same_curve(const Point& a, const Point& b) {
+    return a.m == b.m && a.v == b.v && a.p == b.p;
+  }
+
+  const api::RunReport& report_;
+  Axis machines_, variants_, problems_;
+  std::vector<Point> points_;
+  std::vector<Series> series_;
 };
 
-/// Scans one competitor pair along the ascending nprocs axis and appends a
-/// Crossover wherever the estimated-time ordering strictly flips.
-void scan_pair(const SweepIndex& ix, std::string_view axis, std::string_view a_name,
-               std::string_view b_name, std::string_view context,
-               std::string_view problem,
-               const std::function<const api::RunRecord*(std::string_view, int)>& get,
-               std::vector<Crossover>& out) {
+/// One ordering flip found by a scan, before its names are materialized:
+/// crossovers() sizes its output once and copies each name once.
+struct Flip {
+  const SweepIndex::Series* a;
+  const SweepIndex::Series* b;
+  int nprocs_before, nprocs_after;
+  double a_before, b_before, a_after, b_after;
+};
+
+/// Scans one competitor pair along the ascending nprocs axis — a merge of
+/// the two curves, so only the processor counts both swept are compared —
+/// and records a Flip wherever the estimated-time ordering strictly flips.
+void scan_pair(const SweepIndex& ix, const SweepIndex::Series& a,
+               const SweepIndex::Series& b, std::vector<Flip>& out) {
   int prev_sign = 0;
   int prev_np = 0;
   double prev_a = 0, prev_b = 0;
-  for (const int np : ix.nprocs) {
-    const api::RunRecord* ra = get(a_name, np);
-    const api::RunRecord* rb = get(b_name, np);
-    if (ra == nullptr || rb == nullptr) continue;
-    const double ta = ra->comparison.estimated;
-    const double tb = rb->comparison.estimated;
+  std::uint32_t ia = a.begin, ib = b.begin;
+  while (ia < a.end && ib < b.end) {
+    const SweepIndex::Point& pa = ix.point(ia);
+    const SweepIndex::Point& pb = ix.point(ib);
+    if (pa.nprocs != pb.nprocs) {
+      (pa.nprocs < pb.nprocs ? ia : ib) += 1;
+      continue;
+    }
+    ++ia;
+    ++ib;
+    const double ta = pa.estimated;
+    const double tb = pb.estimated;
     const int sign = ta < tb ? -1 : (ta > tb ? 1 : 0);
     // Ties are not crossings, and they do not move the anchor either: a
     // flip spanning a tie is reported between the two *decisive* points,
     // so the "before" side always names a real winner.
     if (sign == 0) continue;
     if (prev_sign != 0 && sign != prev_sign) {
-      Crossover x;
-      x.axis = std::string(axis);
-      x.a = std::string(a_name);
-      x.b = std::string(b_name);
-      x.context = std::string(context);
-      x.problem = std::string(problem);
-      x.nprocs_before = prev_np;
-      x.nprocs_after = np;
-      x.a_before = prev_a;
-      x.b_before = prev_b;
-      x.a_after = ta;
-      x.b_after = tb;
-      out.push_back(std::move(x));
+      out.push_back(Flip{&a, &b, prev_np, pa.nprocs, prev_a, prev_b, ta, tb});
     }
     prev_sign = sign;
-    prev_np = np;
+    prev_np = pa.nprocs;
     prev_a = ta;
     prev_b = tb;
   }
 }
 
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        // RFC 8259 forbids raw control characters inside strings.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += support::strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
+/// Every flip along one competitor axis: variants compete with the machine
+/// held fixed, or machines with the variant held fixed. Curves are grouped
+/// by (held, problem) and every pair of rivals within a group is scanned,
+/// rivals in first-appearance order — the order of nested loops over the
+/// sweep axes, visiting only curves that exist.
+void scan_axis(const SweepIndex& ix, bool variants_compete, std::vector<Flip>& out) {
+  using Series = SweepIndex::Series;
+  const auto held = [&](const Series& s) { return variants_compete ? s.m : s.v; };
+  const auto rival = [&](const Series& s) { return variants_compete ? s.v : s.m; };
+  std::vector<const Series*> order;
+  order.reserve(ix.series().size());
+  for (const Series& s : ix.series()) order.push_back(&s);
+  std::sort(order.begin(), order.end(), [&](const Series* a, const Series* b) {
+    return std::make_tuple(held(*a), a->p, rival(*a)) <
+           std::make_tuple(held(*b), b->p, rival(*b));
+  });
+  for (std::size_t g = 0; g < order.size();) {
+    std::size_t end = g + 1;
+    while (end < order.size() && held(*order[end]) == held(*order[g]) &&
+           order[end]->p == order[g]->p) {
+      ++end;
     }
+    for (std::size_t i = g; i < end; ++i) {
+      for (std::size_t j = i + 1; j < end; ++j) scan_pair(ix, *order[i], *order[j], out);
+    }
+    g = end;
   }
 }
 
-std::string jnum(double v) { return support::strfmt("%.17g", v); }
+constexpr const char* kFromCsv = "StudyResult::from_csv";
 
-/// Strict CSV numeric parsing: the whole cell must be a number, and range
-/// errors surface as the documented std::invalid_argument (bare std::stod
-/// would throw std::out_of_range and accept trailing junk).
-double csv_double(const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("StudyResult::from_csv: malformed number \"" + cell +
-                              "\"");
-}
-
-int csv_int(const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("StudyResult::from_csv: malformed integer \"" + cell +
-                              "\"");
-}
-
-// --- a minimal JSON reader for the schema json() emits -----------------------
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            // json_escape only emits \u00xx for control bytes; accept the
-            // full ASCII range and reject anything wider.
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("malformed \\u escape");
-            }
-            if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-            c = static_cast<char>(code);
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == 'i' ||
-            text_[pos_] == 'n' || text_[pos_] == 'f' || text_[pos_] == 'a')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return 0;  // unreachable
-  }
-
-  [[nodiscard]] bool boolean() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected boolean");
-    return false;  // unreachable
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  void end() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("StudyResult::from_json: " + why + " at offset " +
-                                std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+double csv_double(std::string_view cell) { return support::cell_double(cell, kFromCsv); }
 
 }  // namespace
 
@@ -290,30 +236,25 @@ const machine::WhatIfParams* StudyResult::params_for(std::string_view machine) c
 
 std::vector<Crossover> StudyResult::crossovers() const {
   const SweepIndex ix(report);
-  std::vector<Crossover> out;
+  std::vector<Flip> flips;
   // variant-vs-variant flips, machine and problem held fixed
-  for (const auto& m : ix.machines) {
-    for (const auto& p : ix.problems) {
-      for (std::size_t i = 0; i < ix.variants.size(); ++i) {
-        for (std::size_t j = i + 1; j < ix.variants.size(); ++j) {
-          scan_pair(ix, "variant", ix.variants[i], ix.variants[j], m, p,
-                    [&](std::string_view v, int np) { return ix.find(m, v, p, np); },
-                    out);
-        }
-      }
-    }
-  }
+  scan_axis(ix, /*variants_compete=*/true, flips);
+  const std::size_t variant_flips = flips.size();
   // machine-vs-machine flips, variant and problem held fixed
-  for (const auto& v : ix.variants) {
-    for (const auto& p : ix.problems) {
-      for (std::size_t i = 0; i < ix.machines.size(); ++i) {
-        for (std::size_t j = i + 1; j < ix.machines.size(); ++j) {
-          scan_pair(ix, "machine", ix.machines[i], ix.machines[j], v, p,
-                    [&](std::string_view m, int np) { return ix.find(m, v, p, np); },
-                    out);
-        }
-      }
-    }
+  scan_axis(ix, /*variants_compete=*/false, flips);
+
+  std::vector<Crossover> out;
+  out.reserve(flips.size());
+  for (std::size_t i = 0; i < flips.size(); ++i) {
+    const Flip& f = flips[i];
+    const bool variants_compete = i < variant_flips;
+    out.push_back(Crossover{
+        variants_compete ? "variant" : "machine",
+        std::string(variants_compete ? ix.variant(f.a->v) : ix.machine(f.a->m)),
+        std::string(variants_compete ? ix.variant(f.b->v) : ix.machine(f.b->m)),
+        std::string(variants_compete ? ix.machine(f.a->m) : ix.variant(f.a->v)),
+        std::string(ix.problem(f.a->p)), f.nprocs_before, f.nprocs_after, f.a_before,
+        f.b_before, f.a_after, f.b_after});
   }
   return out;
 }
@@ -321,29 +262,23 @@ std::vector<Crossover> StudyResult::crossovers() const {
 std::vector<ScalabilityCurve> StudyResult::scalability() const {
   const SweepIndex ix(report);
   std::vector<ScalabilityCurve> out;
-  for (const auto& m : ix.machines) {
-    for (const auto& v : ix.variants) {
-      for (const auto& p : ix.problems) {
-        ScalabilityCurve curve;
-        curve.machine = m;
-        curve.variant = v;
-        curve.problem = p;
-        for (const int np : ix.nprocs) {
-          if (const api::RunRecord* r = ix.find(m, v, p, np)) {
-            curve.points.push_back(
-                ScalabilityPoint{np, r->comparison.estimated, 1.0, 1.0});
-          }
-        }
-        if (curve.points.empty()) continue;
-        const ScalabilityPoint base = curve.points.front();
-        for (auto& pt : curve.points) {
-          pt.speedup = pt.estimated > 0 ? base.estimated / pt.estimated : 0.0;
-          pt.efficiency =
-              pt.nprocs > 0 ? pt.speedup * base.nprocs / pt.nprocs : 0.0;
-        }
-        out.push_back(std::move(curve));
-      }
+  out.reserve(ix.series().size());
+  for (const auto& s : ix.series()) {
+    ScalabilityCurve curve;
+    curve.machine = ix.machine(s.m);
+    curve.variant = ix.variant(s.v);
+    curve.problem = ix.problem(s.p);
+    curve.points.reserve(s.end - s.begin);
+    for (std::uint32_t i = s.begin; i < s.end; ++i) {
+      const SweepIndex::Point& pt = ix.point(i);
+      curve.points.push_back(ScalabilityPoint{pt.nprocs, pt.estimated, 1.0, 1.0});
     }
+    const ScalabilityPoint base = curve.points.front();
+    for (auto& pt : curve.points) {
+      pt.speedup = pt.estimated > 0 ? base.estimated / pt.estimated : 0.0;
+      pt.efficiency = pt.nprocs > 0 ? pt.speedup * base.nprocs / pt.nprocs : 0.0;
+    }
+    out.push_back(std::move(curve));
   }
   return out;
 }
@@ -377,7 +312,7 @@ StudyDiff StudyResult::diff(const StudyResult& candidate, double threshold) cons
   // --- crossover conclusions gained/lost --------------------------------------
   const std::vector<Crossover> before = crossovers();
   const std::vector<Crossover> after = candidate.crossovers();
-  std::set<std::string> before_keys, after_keys;
+  std::unordered_set<std::string> before_keys, after_keys;
   for (const auto& x : before) before_keys.insert(crossover_key(x));
   for (const auto& x : after) after_keys.insert(crossover_key(x));
   for (const auto& x : after) {
@@ -436,20 +371,34 @@ std::string StudyDiff::csv() const {
   //   crossover,<gained|lost>,axis,a,b,context,problem,np_before,np_after
   //   delta,machine,variant,problem,nprocs,before,after,rel_change
   std::string out = "kind,f1,f2,f3,f4,f5,f6,f7,f8\n";
+  const auto names = [&out](std::initializer_list<std::string_view> fields) {
+    for (const std::string_view f : fields) {
+      out += ',';
+      support::append_csv_field(out, f);
+    }
+  };
   const auto crossover_row = [&](const char* tag, const Crossover& x) {
-    out += support::strfmt("crossover,%s,%s,%s,%s,%s,%s,%d,%d\n", tag,
-                           csv_field(x.axis).c_str(), csv_field(x.a).c_str(),
-                           csv_field(x.b).c_str(), csv_field(x.context).c_str(),
-                           csv_field(x.problem).c_str(), x.nprocs_before,
-                           x.nprocs_after);
+    out += "crossover,";
+    out += tag;
+    names({x.axis, x.a, x.b, x.context, x.problem});
+    out += ',';
+    support::append_int(out, x.nprocs_before);
+    out += ',';
+    support::append_int(out, x.nprocs_after);
+    out += '\n';
   };
   for (const auto& x : gained) crossover_row("gained", x);
   for (const auto& x : lost) crossover_row("lost", x);
   for (const auto& d : deltas) {
-    out += support::strfmt("delta,%s,%s,%s,%d,%.17g,%.17g,%.17g,\n",
-                           csv_field(d.machine).c_str(), csv_field(d.variant).c_str(),
-                           csv_field(d.problem).c_str(), d.nprocs, d.estimated_before,
-                           d.estimated_after, d.rel_change);
+    out += "delta";
+    names({d.machine, d.variant, d.problem});
+    out += ',';
+    support::append_int(out, d.nprocs);
+    for (const double v : {d.estimated_before, d.estimated_after, d.rel_change}) {
+      out += ',';
+      support::append_g17(out, v);
+    }
+    out += ",\n";
   }
   return out;
 }
@@ -518,24 +467,56 @@ std::string StudyResult::ascii() const {
   return out;
 }
 
+namespace {
+
+/// Bytes a %.17g double takes at most, plus its separator.
+constexpr std::size_t kNumBytes = 25;
+
+}  // namespace
+
 std::string StudyResult::csv() const {
+  std::size_t bytes = 64 + title.size() + base_machine.size() + std::strlen(kCsvHeader) +
+                      machine_points.size() * (16 + 3 * kNumBytes);
+  for (const auto& pt : machine_points) bytes += pt.name.size();
+  for (const auto& r : report.records) {
+    bytes += r.machine.size() + r.variant.size() + r.problem.size() + 16 + 9 * kNumBytes;
+  }
   std::string out;
-  out += "# study," + csv_field(title) + "," + csv_field(base_machine) + "\n";
+  out.reserve(bytes);
+  out += "# study,";
+  support::append_csv_field(out, title);
+  out += ',';
+  support::append_csv_field(out, base_machine);
+  out += '\n';
   for (const auto& pt : machine_points) {
-    out += support::strfmt("# machine_point,%s,%.17g,%.17g,%.17g\n",
-                           csv_field(pt.name).c_str(), pt.params.latency_scale,
-                           pt.params.bandwidth_scale, pt.params.cpu_scale);
+    out += "# machine_point,";
+    support::append_csv_field(out, pt.name);
+    for (const double v :
+         {pt.params.latency_scale, pt.params.bandwidth_scale, pt.params.cpu_scale}) {
+      out += ',';
+      support::append_g17(out, v);
+    }
+    out += '\n';
   }
   out += kCsvHeader;
   out += '\n';
   for (const auto& r : report.records) {
-    out += support::strfmt(
-        "%s,%s,%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-        csv_field(r.machine).c_str(), csv_field(r.variant).c_str(),
-        csv_field(r.problem).c_str(), r.nprocs, r.measured ? 1 : 0,
-        r.comparison.estimated, r.comparison.measured_mean, r.comparison.measured_min,
-        r.comparison.measured_max, r.comparison.measured_stddev, r.phases.comp,
-        r.phases.comm, r.phases.overhead, r.phases.wait);
+    support::append_csv_field(out, r.machine);
+    out += ',';
+    support::append_csv_field(out, r.variant);
+    out += ',';
+    support::append_csv_field(out, r.problem);
+    out += ',';
+    support::append_int(out, r.nprocs);
+    out += r.measured ? ",1" : ",0";
+    for (const double v :
+         {r.comparison.estimated, r.comparison.measured_mean, r.comparison.measured_min,
+          r.comparison.measured_max, r.comparison.measured_stddev, r.phases.comp,
+          r.phases.comm, r.phases.overhead, r.phases.wait}) {
+      out += ',';
+      support::append_g17(out, v);
+    }
+    out += '\n';
   }
   return out;
 }
@@ -544,6 +525,9 @@ StudyResult StudyResult::from_csv(std::string_view text) {
   StudyResult result;
   bool saw_header = false;
   bool saw_study_line = false;
+  result.report.records.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+  std::vector<std::string_view> cells;
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
@@ -552,8 +536,7 @@ StudyResult StudyResult::from_csv(std::string_view text) {
     pos = eol + 1;
     if (line.empty()) continue;
     if (line.front() == '#') {
-      const auto cells = support::split(support::trim(line.substr(1)), ',');
-      if (cells.empty()) continue;
+      support::split_fields(support::trim(line.substr(1)), ',', cells);
       if (cells[0] == "study") {
         if (cells.size() != 3) {
           throw std::invalid_argument("StudyResult::from_csv: malformed study line");
@@ -583,7 +566,7 @@ StudyResult StudyResult::from_csv(std::string_view text) {
       saw_header = true;
       continue;
     }
-    const auto cells = support::split(line, ',');
+    support::split_fields(line, ',', cells);
     if (cells.size() != 14) {
       throw std::invalid_argument("StudyResult::from_csv: expected 14 fields, got " +
                                   std::to_string(cells.size()) + " in: " +
@@ -593,8 +576,8 @@ StudyResult StudyResult::from_csv(std::string_view text) {
     r.machine = cells[0];
     r.variant = cells[1];
     r.problem = cells[2];
-    r.nprocs = csv_int(cells[3]);
-    r.measured = csv_int(cells[4]) != 0;
+    r.nprocs = support::cell_int(cells[3], kFromCsv);
+    r.measured = support::cell_flag(cells[4], kFromCsv);
     r.comparison.estimated = csv_double(cells[5]);
     r.comparison.measured_mean = csv_double(cells[6]);
     r.comparison.measured_min = csv_double(cells[7]);
@@ -614,20 +597,32 @@ StudyResult StudyResult::from_csv(std::string_view text) {
 }
 
 std::string StudyResult::json() const {
-  std::string out = "{\n";
-  out += "  \"title\": \"";
-  json_escape(out, title);
+  std::size_t bytes = 128 + title.size() + base_machine.size() +
+                      machine_points.size() * (96 + 3 * kNumBytes);
+  for (const auto& pt : machine_points) bytes += pt.name.size();
+  for (const auto& r : report.records) {
+    bytes += r.machine.size() + r.variant.size() + r.problem.size() + 240 + 9 * kNumBytes;
+  }
+  std::string out;
+  out.reserve(bytes);
+  const auto field = [&out](const char* key, double v) {
+    out += key;
+    support::append_g17(out, v);
+  };
+  out += "{\n  \"title\": \"";
+  support::append_json_escaped(out, title);
   out += "\",\n  \"base_machine\": \"";
-  json_escape(out, base_machine);
+  support::append_json_escaped(out, base_machine);
   out += "\",\n  \"machine_points\": [";
   for (std::size_t i = 0; i < machine_points.size(); ++i) {
     const MachinePoint& pt = machine_points[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": \"";
-    json_escape(out, pt.name);
-    out += "\", \"latency_scale\": " + jnum(pt.params.latency_scale) +
-           ", \"bandwidth_scale\": " + jnum(pt.params.bandwidth_scale) +
-           ", \"cpu_scale\": " + jnum(pt.params.cpu_scale) + "}";
+    support::append_json_escaped(out, pt.name);
+    field("\", \"latency_scale\": ", pt.params.latency_scale);
+    field(", \"bandwidth_scale\": ", pt.params.bandwidth_scale);
+    field(", \"cpu_scale\": ", pt.params.cpu_scale);
+    out += '}';
   }
   out += machine_points.empty() ? "],\n" : "\n  ],\n";
   out += "  \"records\": [";
@@ -635,21 +630,24 @@ std::string StudyResult::json() const {
     const api::RunRecord& r = report.records[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"machine\": \"";
-    json_escape(out, r.machine);
+    support::append_json_escaped(out, r.machine);
     out += "\", \"variant\": \"";
-    json_escape(out, r.variant);
+    support::append_json_escaped(out, r.variant);
     out += "\", \"problem\": \"";
-    json_escape(out, r.problem);
-    out += "\", \"nprocs\": " + std::to_string(r.nprocs) +
-           ", \"measured\": " + (r.measured ? "true" : "false") +
-           ", \"estimated\": " + jnum(r.comparison.estimated) +
-           ", \"measured_mean\": " + jnum(r.comparison.measured_mean) +
-           ", \"measured_min\": " + jnum(r.comparison.measured_min) +
-           ", \"measured_max\": " + jnum(r.comparison.measured_max) +
-           ", \"measured_stddev\": " + jnum(r.comparison.measured_stddev) +
-           ", \"comp\": " + jnum(r.phases.comp) + ", \"comm\": " + jnum(r.phases.comm) +
-           ", \"overhead\": " + jnum(r.phases.overhead) +
-           ", \"wait\": " + jnum(r.phases.wait) + "}";
+    support::append_json_escaped(out, r.problem);
+    out += "\", \"nprocs\": ";
+    support::append_int(out, r.nprocs);
+    out += r.measured ? ", \"measured\": true" : ", \"measured\": false";
+    field(", \"estimated\": ", r.comparison.estimated);
+    field(", \"measured_mean\": ", r.comparison.measured_mean);
+    field(", \"measured_min\": ", r.comparison.measured_min);
+    field(", \"measured_max\": ", r.comparison.measured_max);
+    field(", \"measured_stddev\": ", r.comparison.measured_stddev);
+    field(", \"comp\": ", r.phases.comp);
+    field(", \"comm\": ", r.phases.comm);
+    field(", \"overhead\": ", r.phases.overhead);
+    field(", \"wait\": ", r.phases.wait);
+    out += '}';
   }
   out += report.records.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
@@ -658,7 +656,7 @@ std::string StudyResult::json() const {
 
 StudyResult StudyResult::from_json(std::string_view text) {
   StudyResult result;
-  JsonReader in(text);
+  support::JsonCursor in(text, "StudyResult::from_json");
   in.expect('{');
   bool first_key = true;
   while (!in.consume('}')) {
@@ -705,7 +703,7 @@ StudyResult StudyResult::from_json(std::string_view text) {
           if (field == "machine") r.machine = in.string();
           else if (field == "variant") r.variant = in.string();
           else if (field == "problem") r.problem = in.string();
-          else if (field == "nprocs") r.nprocs = static_cast<int>(in.number());
+          else if (field == "nprocs") r.nprocs = in.integer();
           else if (field == "measured") r.measured = in.boolean();
           else if (field == "estimated") r.comparison.estimated = in.number();
           else if (field == "measured_mean") r.comparison.measured_mean = in.number();

@@ -118,22 +118,34 @@ struct StudyResult {
   [[nodiscard]] const machine::WhatIfParams* params_for(std::string_view machine) const;
 
   // --- analysis ---------------------------------------------------------------
+  // crossovers(), scalability() and diff() share one index over the n
+  // records: machines, variants and problems interned to integer ids in
+  // first-appearance order, points sorted into one run per (machine,
+  // variant, problem) curve. It costs O(n log n) time and O(n) memory —
+  // never the axis product, so a sparse or decoded report is as cheap as a
+  // full grid. Where records repeat a (machine, variant, problem, nprocs)
+  // key, the first record wins and later ones are ignored.
+
   /// Variant-vs-variant flips (per machine and problem) followed by
   /// machine-vs-machine flips (per variant and problem), both along the
   /// nprocs axis, in deterministic sweep order. Ties are not crossings.
+  /// Cost: the index plus one merge of the two nprocs curves per pair of
+  /// competitors that share a context, O(n log n + pairs x nprocs).
   [[nodiscard]] std::vector<Crossover> crossovers() const;
 
   /// One curve per (machine, variant, problem) in sweep order, points
-  /// sorted by nprocs ascending.
+  /// sorted by nprocs ascending. Cost: the index, O(n log n).
   [[nodiscard]] std::vector<ScalabilityCurve> scalability() const;
 
-  /// Per-record bottleneck attribution, in report order.
+  /// Per-record bottleneck attribution, in report order. Cost: O(n).
   [[nodiscard]] std::vector<BottleneckRecord> bottlenecks() const;
 
   /// Compares this study (the baseline) against `candidate`: crossover
   /// flips gained/lost plus per-point estimated-time deltas at least
   /// `threshold` (relative, default 5%). Points are matched on
-  /// (machine, variant, problem, nprocs).
+  /// (machine, variant, problem, nprocs), each baseline record against the
+  /// candidate's first record with that key. Cost: both crossovers()
+  /// passes plus one O(log n) probe of the candidate's index per record.
   [[nodiscard]] StudyDiff diff(const StudyResult& candidate,
                                double threshold = 0.05) const;
 
@@ -144,21 +156,25 @@ struct StudyResult {
   [[nodiscard]] std::string ascii() const;
 
   /// "#"-prefixed study/machine-point header lines, then one row per
-  /// record including the per-phase decomposition. %.17g throughout, so
-  /// from_csv round-trips byte-identically.
+  /// record including the per-phase decomposition. %.17g throughout
+  /// (support::append_g17 into one pre-sized string, O(n)), so from_csv
+  /// round-trips byte-identically.
   [[nodiscard]] std::string csv() const;
 
   /// Single JSON object: title, base machine, machine points, records.
-  /// Deterministic; from_json round-trips byte-identically.
+  /// Deterministic, O(n); from_json round-trips byte-identically.
   [[nodiscard]] std::string json() const;
 
   /// Parses the output of csv(). Cache statistics and wall time are not
-  /// part of the payload and come back zero. Throws std::invalid_argument
-  /// on malformed input.
+  /// part of the payload and come back zero. Numeric cells go through the
+  /// strict support::parse_double/parse_int readers: every value csv()
+  /// writes (subnormals, ±inf, nan) is accepted, and anything else —
+  /// trailing junk, out-of-range values, a 'measured' cell other than 0/1
+  /// — throws std::invalid_argument, as does any other malformed input.
   [[nodiscard]] static StudyResult from_csv(std::string_view text);
 
-  /// Parses the output of json(). Throws std::invalid_argument on
-  /// malformed input.
+  /// Parses the output of json() with the same strict number reader.
+  /// Throws std::invalid_argument on malformed input.
   [[nodiscard]] static StudyResult from_json(std::string_view text);
 };
 

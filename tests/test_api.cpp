@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "codec_fuzz.hpp"
 #include "machine/ipsc860.hpp"
 #include "machine/whatif.hpp"
 #include "suite/suite.hpp"
@@ -645,6 +649,80 @@ TEST(RunReport, CsvRejectsMalformedInput) {
   EXPECT_THROW((void)api::RunReport::from_csv(good + "short,row\n"),
                std::invalid_argument);
   EXPECT_NO_THROW((void)api::RunReport::from_csv(good));
+}
+
+/// A report whose records carry every edge value the %.17g writer emits,
+/// plus non-zero cache and batch counters for the JSON codec.
+api::RunReport edge_report() {
+  api::RunReport report;
+  report.title = "edge \"values\"\n";
+  report.wall_seconds = 4.9406564584124654e-324;
+  report.cache.compile_hits = 3;
+  report.cache.layout_capacity = 256;
+  report.batch.ir_visits = UINT64_MAX;
+  report.batch.simd_stripes = 12345678901234ULL;
+  api::RunRecord point;
+  point.machine = "cube, big";
+  point.variant = "(block,*)";
+  point.problem = "n=16";
+  point.measured = true;
+  int nprocs = 1;
+  for (const double v : {0.0, -0.0, 4.9406564584124654e-324, 1e-320, DBL_MIN, DBL_MAX,
+                         -DBL_MAX, static_cast<double>(INFINITY),
+                         -static_cast<double>(INFINITY), static_cast<double>(NAN), 0.1,
+                         1e21, 1e17, -3.5}) {
+    api::RunRecord r = point;
+    r.nprocs = nprocs++;
+    r.comparison = api::Comparison{v, -v, v, v, v};
+    r.phases = api::PhaseBreakdown{v, v, -v, v};
+    report.records.push_back(r);
+  }
+  return report;
+}
+
+TEST(RunReport, EdgeValuesRoundTripThroughBothCodecs) {
+  const api::RunReport report = edge_report();
+  const std::string csv = report.csv();
+  EXPECT_NE(csv.find(",4.9406564584124654e-324,"), std::string::npos);
+  EXPECT_EQ(api::RunReport::from_csv(csv).csv(), csv);
+  const std::string json = report.json();
+  const api::RunReport parsed = api::RunReport::from_json(json);
+  EXPECT_EQ(parsed.json(), json);
+  EXPECT_EQ(parsed.wall_seconds, 4.9406564584124654e-324);
+  EXPECT_EQ(parsed.batch.ir_visits, UINT64_MAX);
+  EXPECT_EQ(parsed.records[3].comparison.estimated, 1e-320);
+}
+
+TEST(RunReport, CsvNumericCellsAreReadStrictly) {
+  const std::string good = api::RunReport{}.csv();
+  // a subnormal is a value like any other
+  const api::RunReport tiny = api::RunReport::from_csv(good + "m,v,p,1,1,1e-320,0,0,0,0\n");
+  EXPECT_EQ(tiny.records[0].comparison.estimated, 1e-320);
+  // junk, out-of-range values and non-flag 'measured' cells are all the
+  // documented invalid_argument — never std::out_of_range, never accepted
+  for (const char* row : {"m,v,p,1,1,1.5abc,0,0,0,0", "m,v,p,1x,1,1,0,0,0,0",
+                          "m,v,p,1,1,1e999,0,0,0,0", "m,v,p,1,1,1e-400,0,0,0,0",
+                          "m,v,p,1,1,1e999999,0,0,0,0", "m,v,p,99999999999,1,1,0,0,0,0",
+                          "m,v,p,1,7,1,0,0,0,0", "m,v,p,+1,1,1,0,0,0,0",
+                          "m,v,p,1,1, 1,0,0,0,0"}) {
+    EXPECT_THROW((void)api::RunReport::from_csv(good + row + "\n"), std::invalid_argument)
+        << row;
+  }
+  std::string json = edge_report().json();
+  json.replace(json.find("\"nprocs\":1,"), 11, "\"nprocs\":1e300,");
+  EXPECT_THROW((void)api::RunReport::from_json(json), std::invalid_argument);
+}
+
+TEST(RunReportFuzz, CsvDecoderRejectsCleanlyOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder(
+      {edge_report().csv()}, [](const std::string& t) { return api::RunReport::from_csv(t); },
+      [](const api::RunReport& r) { return r.csv(); }, 0xc5f2);
+}
+
+TEST(RunReportFuzz, JsonDecoderRejectsCleanlyOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder(
+      {edge_report().json()}, [](const std::string& t) { return api::RunReport::from_json(t); },
+      [](const api::RunReport& r) { return r.json(); }, 0x75f2);
 }
 
 TEST(RunReport, DiffTracksPerPointEstimatedDeltas) {

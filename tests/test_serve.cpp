@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -610,6 +611,25 @@ TEST(ExperimentServer, GarbageBytesDropTheConnectionOnly) {
   client.connect();  // daemon is alive and answering
   const serve::ServerStats stats = client.stats();
   EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+TEST(ExperimentServer, StopWakesIdleThreadsPromptly) {
+  // An idle daemon with one open client: the accept loop and the client's
+  // connection thread are both parked in poll(). stop() must wake them
+  // through the wake pipe rather than wait out a poll timeout.
+  ServerFixture fixture;
+  serve::ServeClient client(fixture.options.socket_path, "idle tenant");
+  client.connect();
+  (void)client.stats();  // the connection thread is up and idle again
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  fixture.server->stop();
+  const auto ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_FALSE(fixture.server->running());
+  EXPECT_LT(ms, 50.0) << "stop() took " << ms << " ms";
 }
 
 TEST(ExperimentServer, CancelQueuedJobThroughTheProtocol) {

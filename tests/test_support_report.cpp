@@ -1,7 +1,14 @@
 // Support-library and reporting tests: diagnostics, text utilities, table
 // rendering, series rendering, F77 round-trips, and the cluster machine
-// abstraction (§7 extension).
+// abstraction (§7 extension), and the %.17g codec writer/reader.
 #include <gtest/gtest.h>
+
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <random>
 
 #include "core/engine.hpp"
 #include "compiler/pipeline.hpp"
@@ -9,6 +16,7 @@
 #include "machine/cluster.hpp"
 #include "machine/ipsc860.hpp"
 #include "suite/suite.hpp"
+#include "support/codec.hpp"
 #include "support/diagnostics.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
@@ -141,6 +149,63 @@ TEST(Cluster, SameProgramSameAnswerDifferentTime) {
   const auto b = core::predict(prog, {}, lo, lan);
   EXPECT_EQ(a.per_aau.size(), b.per_aau.size());
   EXPECT_NE(a.total, b.total);
+}
+
+std::string printf_g17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(Codec, WriterMatchesPrintfOnEdgeValues) {
+  for (const double v :
+       {0.0, -0.0, 4.9406564584124654e-324, -4.9406564584124654e-324, 1e-320, DBL_MIN,
+        DBL_MAX, -DBL_MAX, static_cast<double>(INFINITY), -static_cast<double>(INFINITY),
+        static_cast<double>(NAN), -static_cast<double>(NAN), 0.1, 1e16, 1e17, 1e21, 100.0,
+        -2.2250738585072014e-308}) {
+    std::string out;
+    support::append_g17(out, v);
+    EXPECT_EQ(out, printf_g17(v));
+  }
+  // and on random bit patterns, which reach every exponent and mantissa shape
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    std::string out;
+    support::append_g17(out, v);
+    ASSERT_EQ(out, printf_g17(v));
+  }
+}
+
+TEST(Codec, ReaderRoundTripsEveryWrittenValueAndRejectsTheRest) {
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isnan(v)) continue;
+    std::string out;
+    support::append_g17(out, v);
+    const std::optional<double> back = support::parse_double(out);
+    ASSERT_TRUE(back.has_value()) << out;
+    ASSERT_EQ(std::memcmp(&*back, &v, sizeof v), 0) << out;
+  }
+  EXPECT_TRUE(std::isnan(*support::parse_double("nan")));
+  EXPECT_TRUE(std::signbit(*support::parse_double("-0")));
+  for (const char* bad : {"", " 1", "1 ", "+1", "1.5abc", "1e999", "1e999999", "1e-400",
+                          "0x10", "--1", "1e", "."}) {
+    EXPECT_FALSE(support::parse_double(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(support::parse_int("-42"), -42);
+  for (const char* bad : {"", "1x", "+1", "2147483648", "1.0", " 1"}) {
+    EXPECT_FALSE(support::parse_int(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(support::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"-1", "18446744073709551616", "1e3"}) {
+    EXPECT_FALSE(support::parse_u64(bad).has_value()) << bad;
+  }
 }
 
 }  // namespace
