@@ -1,9 +1,8 @@
 #include "compiler/serialize.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
-#include "support/text.hpp"
+#include "support/codec.hpp"
 
 namespace hpf90d::compiler {
 
@@ -12,98 +11,111 @@ namespace {
 constexpr std::string_view kLayoutHeader = "hpf90d-layout 1";
 constexpr std::string_view kRecipeHeader = "hpf90d-recipe 1";
 
-/// Cursor over the line-oriented serialized form. Fields within a line are
-/// tab-separated; identifiers and %.17g numbers never contain tabs, and
-/// source text travels length-prefixed, so no escaping is needed.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
+/// A spilled grid larger than this is corrupt: the layout's coordinate
+/// table holds one row per processor.
+constexpr long long kMaxProcs = 1 << 20;
 
-  [[nodiscard]] std::string_view next_line() {
-    if (pos_ > text_.size()) {
-      throw std::invalid_argument("layout/recipe deserialize: unexpected end of input");
-    }
-    std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) eol = text_.size();
-    const std::string_view line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return line;
-  }
+using Cells = std::vector<std::string_view>;
 
-  /// Raw byte access for length-prefixed payloads (recipe source text).
-  [[nodiscard]] std::string_view take_bytes(std::size_t n) {
-    if (pos_ + n > text_.size()) {
-      throw std::invalid_argument("layout/recipe deserialize: truncated payload");
-    }
-    const std::string_view bytes = text_.substr(pos_, n);
-    pos_ += n;
-    // consume the newline the writer appends after the payload
-    if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-    return bytes;
-  }
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::string> fields_of(std::string_view line, std::size_t expect,
-                                   std::string_view what) {
-  const auto cells = support::split(line, '\t');
-  if (cells.size() != expect) {
-    throw std::invalid_argument("layout/recipe deserialize: bad " + std::string(what) +
-                                " line: " + std::string(line));
-  }
-  return cells;
+// Fields within a line are tab-separated; identifiers and %.17g numbers
+// never contain tabs, and source text travels length-prefixed, so no
+// escaping is needed.
+void cell(std::string& out, long long v) {
+  out += '\t';
+  support::append_int(out, v);
 }
 
-long long to_ll(const std::string& s) { return std::strtoll(s.c_str(), nullptr, 10); }
-double to_d(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
+void header(support::LineReader& in, std::string_view expected) {
+  if (in.next_line() != expected) {
+    in.fail("missing or mismatched header (expected \"" + std::string(expected) + "\")");
+  }
+}
+
+/// Reads one "dim" line and checks it against the grid: the values must be
+/// ones a DataLayout can hold, or ownership queries divide by zero or index
+/// past the processor grid.
+DimDist read_dim(support::LineReader& in, const ProcGrid& grid) {
+  const Cells f = in.fields('\t', 8, "dim");
+  const int kind = in.integer(f[1]);
+  if (kind < 0 || kind > static_cast<int>(front::DistKind::Collapsed)) {
+    in.fail("unknown distribution kind " + std::string(f[1]));
+  }
+  DimDist d;
+  d.kind = static_cast<front::DistKind>(kind);
+  d.grid_dim = in.integer(f[2]);
+  d.nprocs = in.integer(f[3]);
+  d.extent = in.i64(f[4]);
+  d.align_offset = in.i64(f[5]);
+  d.tmpl_extent = in.i64(f[6]);
+  d.block = in.i64(f[7]);
+  const bool collapsed = d.kind == front::DistKind::Collapsed;
+  if (d.grid_dim < -1 || d.grid_dim >= grid.rank() || (d.grid_dim == -1) != collapsed) {
+    in.fail("grid_dim " + std::to_string(d.grid_dim) + " does not fit the distribution");
+  }
+  const int along = collapsed ? 1 : grid.shape[static_cast<std::size_t>(d.grid_dim)];
+  if (d.nprocs != along) in.fail("nprocs is not the grid extent along grid_dim");
+  if (d.kind == front::DistKind::Block && d.block < 1) in.fail("BLOCK size below 1");
+  return d;
+}
 
 }  // namespace
 
 std::string serialize_layout(const DataLayout& layout) {
   std::string out(kLayoutHeader);
-  out += '\n';
+  out += "\ngrid";
+  cell(out, layout.grid_.rank());
+  for (const int s : layout.grid_.shape) cell(out, s);
 
-  out += support::strfmt("grid\t%d", layout.grid_.rank());
-  for (const int s : layout.grid_.shape) out += support::strfmt("\t%d", s);
+  out += "\nenv";
+  cell(out, static_cast<long long>(layout.env_.values().size()));
   out += '\n';
-
-  out += support::strfmt("env\t%zu\n", layout.env_.values().size());
   for (const auto& [name, value] : layout.env_.values()) {
     out += name;
-    out += support::strfmt("\t%.17g\n", value);
+    out += '\t';
+    support::append_g17(out, value);
+    out += '\n';
   }
 
-  out += support::strfmt("templates\t%zu\n", layout.template_names_.size());
+  out += "templates";
+  cell(out, static_cast<long long>(layout.template_names_.size()));
+  out += '\n';
   for (const auto& name : layout.template_names_) {
     out += name;
     out += '\n';
   }
 
-  out += support::strfmt("extents\t%zu\n", layout.extents_.size());
+  out += "extents";
+  cell(out, static_cast<long long>(layout.extents_.size()));
+  out += '\n';
   for (const auto& se : layout.extents_) {
     out += se.name;
-    out += support::strfmt("\t%d\t%zu", se.dims ? 1 : 0,
-                           se.dims ? se.dims->size() : std::size_t{0});
+    cell(out, se.dims ? 1 : 0);
+    cell(out, se.dims ? static_cast<long long>(se.dims->size()) : 0);
     if (se.dims) {
-      for (const long long d : *se.dims) out += support::strfmt("\t%lld", d);
+      for (const long long d : *se.dims) cell(out, d);
     }
     out += '\n';
   }
 
-  out += support::strfmt("maps\t%zu\n", layout.maps_.size());
+  out += "maps";
+  cell(out, static_cast<long long>(layout.maps_.size()));
+  out += '\n';
   for (const auto& m : layout.maps_) {
-    out += support::strfmt("map\t%d\t", m.symbol);
+    out += "map";
+    cell(out, m.symbol);
+    out += '\t';
     out += m.name;
-    out += support::strfmt("\t%d\t%zu\n", m.template_id, m.dims.size());
+    cell(out, m.template_id);
+    cell(out, static_cast<long long>(m.dims.size()));
+    out += '\n';
     for (const auto& d : m.dims) {
-      out += support::strfmt("dim\t%d\t%d\t%d\t%lld\t%lld\t%lld\t%lld\n",
-                             static_cast<int>(d.kind), d.grid_dim, d.nprocs, d.extent,
-                             d.align_offset, d.tmpl_extent, d.block);
+      out += "dim";
+      for (const long long v : {static_cast<long long>(d.kind), static_cast<long long>(d.grid_dim),
+                                static_cast<long long>(d.nprocs), d.extent, d.align_offset,
+                                d.tmpl_extent, d.block}) {
+        cell(out, v);
+      }
+      out += '\n';
     }
   }
   out += "end\n";
@@ -111,115 +123,81 @@ std::string serialize_layout(const DataLayout& layout) {
 }
 
 DataLayout deserialize_layout(std::string_view text) {
-  LineReader in(text);
-  if (in.next_line() != kLayoutHeader) {
-    throw std::invalid_argument(
-        "deserialize_layout: missing or mismatched header (expected \"" +
-        std::string(kLayoutHeader) + "\")");
-  }
+  support::LineReader in(text, "deserialize_layout");
+  header(in, kLayoutHeader);
   DataLayout layout;
 
   {
-    const auto grid = support::split(in.next_line(), '\t');
-    if (grid.size() < 2 || grid[0] != "grid") {
-      throw std::invalid_argument("deserialize_layout: bad grid line");
+    const Cells grid = in.next_fields('\t');
+    if (grid.size() < 2 || grid[0] != "grid") in.fail("bad grid line");
+    if (in.u64(grid[1]) != grid.size() - 2) in.fail("grid rank mismatch");
+    long long total = 1;
+    for (std::size_t d = 2; d < grid.size(); ++d) {
+      const int extent = in.integer(grid[d]);
+      if (extent < 1) in.fail("grid extent below 1");
+      total *= extent;
+      if (total > kMaxProcs) in.fail("grid larger than " + std::to_string(kMaxProcs));
+      layout.grid_.shape.push_back(extent);
     }
-    const std::size_t rank = static_cast<std::size_t>(to_ll(grid[1]));
-    if (grid.size() != rank + 2) {
-      throw std::invalid_argument("deserialize_layout: grid rank mismatch");
-    }
-    for (std::size_t d = 0; d < rank; ++d) {
-      layout.grid_.shape.push_back(static_cast<int>(to_ll(grid[d + 2])));
-    }
+    if (layout.grid_.shape.empty()) in.fail("empty processor grid");
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "env");
-    if (head[0] != "env") throw std::invalid_argument("deserialize_layout: bad env line");
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 2, "env entry");
-      layout.env_.set(cells[0], to_d(cells[1]));
-    }
+  const std::size_t nenv = in.count(in.fields('\t', 2, "env")[1]);
+  for (std::size_t i = 0; i < nenv; ++i) {
+    const Cells cells = in.next_fields('\t');
+    if (cells.size() != 2) in.fail("bad env entry");
+    layout.env_.set(std::string(cells[0]), in.number(cells[1]));
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "templates");
-    if (head[0] != "templates") {
-      throw std::invalid_argument("deserialize_layout: bad templates line");
-    }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      layout.template_names_.emplace_back(in.next_line());
-    }
+  const std::size_t ntemplates = in.count(in.fields('\t', 2, "templates")[1]);
+  for (std::size_t i = 0; i < ntemplates; ++i) {
+    layout.template_names_.emplace_back(in.next_line());
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "extents");
-    if (head[0] != "extents") {
-      throw std::invalid_argument("deserialize_layout: bad extents line");
+  const std::size_t nextents = in.count(in.fields('\t', 2, "extents")[1]);
+  layout.extents_.reserve(nextents);
+  for (std::size_t i = 0; i < nextents; ++i) {
+    const Cells cells = in.next_fields('\t');
+    if (cells.size() < 3) in.fail("bad extent entry");
+    DataLayout::SymbolExtents se;
+    se.name = cells[0];
+    const bool resolved = in.flag(cells[1]);
+    const std::uint64_t rank = in.u64(cells[2]);
+    if (rank != cells.size() - 3 || (!resolved && rank != 0)) {
+      in.fail("extent rank mismatch");
     }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    layout.extents_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = support::split(in.next_line(), '\t');
-      if (cells.size() < 3) {
-        throw std::invalid_argument("deserialize_layout: bad extent entry");
-      }
-      DataLayout::SymbolExtents se;
-      se.name = cells[0];
-      const bool resolved = to_ll(cells[1]) != 0;
-      const std::size_t rank = static_cast<std::size_t>(to_ll(cells[2]));
-      if (cells.size() != rank + 3) {
-        throw std::invalid_argument("deserialize_layout: extent rank mismatch");
-      }
-      if (resolved) {
-        std::vector<long long> dims;
-        dims.reserve(rank);
-        for (std::size_t d = 0; d < rank; ++d) dims.push_back(to_ll(cells[d + 3]));
-        se.dims = std::move(dims);
-      }
-      layout.extents_.push_back(std::move(se));
+    if (resolved) {
+      std::vector<long long> dims;
+      dims.reserve(cells.size() - 3);
+      for (std::size_t d = 3; d < cells.size(); ++d) dims.push_back(in.i64(cells[d]));
+      se.dims = std::move(dims);
     }
+    layout.extents_.push_back(std::move(se));
   }
 
-  {
-    const auto head = fields_of(in.next_line(), 2, "maps");
-    if (head[0] != "maps") throw std::invalid_argument("deserialize_layout: bad maps line");
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    layout.maps_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 5, "map");
-      if (cells[0] != "map") throw std::invalid_argument("deserialize_layout: bad map entry");
-      ArrayMap m;
-      m.symbol = static_cast<int>(to_ll(cells[1]));
-      m.name = cells[2];
-      m.template_id = static_cast<int>(to_ll(cells[3]));
-      const std::size_t ndims = static_cast<std::size_t>(to_ll(cells[4]));
-      m.dims.reserve(ndims);
-      for (std::size_t d = 0; d < ndims; ++d) {
-        const auto dim = fields_of(in.next_line(), 8, "dim");
-        if (dim[0] != "dim") throw std::invalid_argument("deserialize_layout: bad dim entry");
-        DimDist dd;
-        dd.kind = static_cast<front::DistKind>(to_ll(dim[1]));
-        dd.grid_dim = static_cast<int>(to_ll(dim[2]));
-        dd.nprocs = static_cast<int>(to_ll(dim[3]));
-        dd.extent = to_ll(dim[4]);
-        dd.align_offset = to_ll(dim[5]);
-        dd.tmpl_extent = to_ll(dim[6]);
-        dd.block = to_ll(dim[7]);
-        m.dims.push_back(dd);
-      }
-      layout.maps_.push_back(std::move(m));
+  const std::size_t nmaps = in.count(in.fields('\t', 2, "maps")[1]);
+  layout.maps_.reserve(nmaps);
+  for (std::size_t i = 0; i < nmaps; ++i) {
+    const Cells cells = in.fields('\t', 5, "map");
+    ArrayMap m;
+    m.symbol = in.integer(cells[1]);
+    m.name = cells[2];
+    m.template_id = in.integer(cells[3]);
+    const std::size_t ndims = in.count(cells[4]);
+    if (m.symbol < 0 || static_cast<std::size_t>(m.symbol) >= layout.extents_.size()) {
+      in.fail("map symbol " + std::to_string(m.symbol) + " has no extent entry");
     }
+    if (m.template_id < 0 ||
+        static_cast<std::size_t>(m.template_id) >= layout.template_names_.size()) {
+      in.fail("map template " + std::to_string(m.template_id) + " is not listed");
+    }
+    m.dims.reserve(ndims);
+    for (std::size_t d = 0; d < ndims; ++d) m.dims.push_back(read_dim(in, layout.grid_));
+    layout.maps_.push_back(std::move(m));
   }
 
-  if (in.next_line() != "end") {
-    throw std::invalid_argument("deserialize_layout: missing end marker");
-  }
-  if (layout.grid_.shape.empty()) {
-    throw std::invalid_argument("deserialize_layout: empty processor grid");
-  }
+  if (in.next_line() != "end") in.fail("missing end marker");
+  in.end();
   layout.rebuild_derived_tables();
   return layout;
 }
@@ -228,59 +206,35 @@ std::string serialize_recipe(std::string_view source,
                              const std::vector<std::string>& overrides,
                              const CompilerOptions& options) {
   std::string out(kRecipeHeader);
+  out += "\noptions";
+  cell(out, options.message_vectorization ? 1 : 0);
+  out += '\t';
+  support::append_g17(out, options.default_mask_probability);
+  out += "\noverrides";
+  cell(out, static_cast<long long>(overrides.size()));
   out += '\n';
-  out += support::strfmt("options\t%d\t%.17g\n", options.message_vectorization ? 1 : 0,
-                         options.default_mask_probability);
-  out += support::strfmt("overrides\t%zu\n", overrides.size());
   for (const auto& o : overrides) {
-    out += support::strfmt("override\t%zu\n", o.size());
-    out += o;
-    out += '\n';
+    out += "override";
+    support::append_sized(out, '\t', o);
   }
-  out += support::strfmt("source\t%zu\n", source.size());
-  out += source;
-  out += '\n';
+  out += "source";
+  support::append_sized(out, '\t', source);
   return out;
 }
 
 ParsedRecipe deserialize_recipe(std::string_view text) {
-  LineReader in(text);
-  if (in.next_line() != kRecipeHeader) {
-    throw std::invalid_argument(
-        "deserialize_recipe: missing or mismatched header (expected \"" +
-        std::string(kRecipeHeader) + "\")");
-  }
+  support::LineReader in(text, "deserialize_recipe");
+  header(in, kRecipeHeader);
   ParsedRecipe recipe;
-  {
-    const auto cells = fields_of(in.next_line(), 3, "options");
-    if (cells[0] != "options") {
-      throw std::invalid_argument("deserialize_recipe: bad options line");
-    }
-    recipe.options.message_vectorization = to_ll(cells[1]) != 0;
-    recipe.options.default_mask_probability = to_d(cells[2]);
+  const Cells options = in.fields('\t', 3, "options");
+  recipe.options.message_vectorization = in.flag(options[1]);
+  recipe.options.default_mask_probability = in.number(options[2]);
+  const std::size_t n = in.count(in.fields('\t', 2, "overrides")[1]);
+  for (std::size_t i = 0; i < n; ++i) {
+    recipe.overrides.emplace_back(in.payload(in.fields('\t', 2, "override")));
   }
-  {
-    const auto head = fields_of(in.next_line(), 2, "overrides");
-    if (head[0] != "overrides") {
-      throw std::invalid_argument("deserialize_recipe: bad overrides line");
-    }
-    const std::size_t n = static_cast<std::size_t>(to_ll(head[1]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cells = fields_of(in.next_line(), 2, "override");
-      if (cells[0] != "override") {
-        throw std::invalid_argument("deserialize_recipe: bad override entry");
-      }
-      recipe.overrides.emplace_back(
-          in.take_bytes(static_cast<std::size_t>(to_ll(cells[1]))));
-    }
-  }
-  {
-    const auto head = fields_of(in.next_line(), 2, "source");
-    if (head[0] != "source") {
-      throw std::invalid_argument("deserialize_recipe: bad source line");
-    }
-    recipe.source = in.take_bytes(static_cast<std::size_t>(to_ll(head[1])));
-  }
+  recipe.source = in.payload(in.fields('\t', 2, "source"));
+  in.end();
   return recipe;
 }
 

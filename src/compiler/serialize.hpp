@@ -10,6 +10,13 @@
 // ownership_picture — identically to the original. Round trip is exact:
 // serialize(deserialize(s)) == s.
 //
+// Both formats are written through support/codec's one writer and read
+// through its one LineReader. A spill file is outside input: a decoder
+// rejects any malformed, truncated or inconsistent text — including values
+// no DataLayout can hold, such as a zero BLOCK size or a grid_dim outside
+// the processor grid — with std::invalid_argument, which the artifact
+// store turns into a cache miss.
+//
 // Programs are not serialized structurally (the SPMD IR carries AST
 // expression trees); instead the service persists the *recipe* — source,
 // directive overrides, compiler options — keyed by the program cache key,

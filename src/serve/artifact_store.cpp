@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "compiler/serialize.hpp"
+#include "support/codec.hpp"
 #include "support/text.hpp"
 
 namespace hpf90d::serve {
@@ -19,17 +20,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string artifact_name(std::string_view key) {
-  return support::strfmt("%016llx.art", static_cast<unsigned long long>(fnv1a64(key)));
+  return support::strfmt("%016llx.art", static_cast<unsigned long long>(support::fnv1a64(key)));
 }
 
 std::optional<std::string> slurp(const fs::path& path) {
@@ -42,30 +34,25 @@ std::optional<std::string> slurp(const fs::path& path) {
 }
 
 /// Artifact framing: "hpf90d-artifact 1 <keylen>\n<key>\n<body>". Returns
-/// the body, or nullopt when the frame is malformed or (when `key` is
-/// non-null) the embedded key mismatches.
-std::optional<std::string> unwrap(const std::string& text, const std::string* key) {
-  constexpr std::string_view kTag = "hpf90d-artifact 1 ";
-  if (text.compare(0, kTag.size(), kTag) != 0) return std::nullopt;
-  std::size_t pos = kTag.size();
-  const std::size_t eol = text.find('\n', pos);
-  if (eol == std::string::npos) return std::nullopt;
-  std::size_t keylen = 0;
+/// a view of the body in `text`, or nullopt when the frame is malformed or
+/// (when `key` is non-null) the embedded key mismatches.
+std::optional<std::string_view> unwrap(const std::string& text, const std::string* key) {
   try {
-    keylen = static_cast<std::size_t>(std::stoull(text.substr(pos, eol - pos)));
-  } catch (const std::exception&) {
+    support::LineReader in(text, "artifact frame");
+    const std::vector<std::string_view> head = in.fields(' ', 3, "hpf90d-artifact");
+    if (head[1] != "1") return std::nullopt;
+    if (const std::string_view got = in.payload(head); key != nullptr && got != *key) {
+      return std::nullopt;
+    }
+    return in.rest();
+  } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  pos = eol + 1;
-  if (text.size() - pos < keylen + 1 || text[pos + keylen] != '\n') return std::nullopt;
-  if (key != nullptr && text.compare(pos, keylen, *key) != 0) return std::nullopt;
-  return text.substr(pos + keylen + 1);
 }
 
 std::string wrap(const std::string& key, std::string_view body) {
-  std::string out = "hpf90d-artifact 1 " + std::to_string(key.size()) + '\n';
-  out += key;
-  out += '\n';
+  std::string out = "hpf90d-artifact 1";
+  support::append_sized(out, ' ', key);
   out += body;
   return out;
 }

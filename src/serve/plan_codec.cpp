@@ -1,14 +1,17 @@
 #include "serve/plan_codec.hpp"
 
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "support/text.hpp"
+#include "support/codec.hpp"
 
 namespace hpf90d::serve {
 
 namespace {
+
+using support::LineReader;
+using Cells = std::vector<std::string_view>;
 
 // --- writer helpers -----------------------------------------------------------
 
@@ -16,260 +19,178 @@ namespace {
 /// round-trip, including newlines and tabs.
 void emit_str(std::string& out, const char* tag, std::string_view value) {
   out += tag;
-  out += ' ';
-  out += std::to_string(value.size());
-  out += '\n';
-  out += value;
-  out += '\n';
+  support::append_sized(out, ' ', value);
 }
 
-std::string fnum(double v) { return support::strfmt("%.17g", v); }
+void emit_int(std::string& out, long long v) {
+  out += ' ';
+  support::append_int(out, v);
+}
+
+void emit_g17(std::string& out, double v) {
+  out += ' ';
+  support::append_g17(out, v);
+}
 
 void emit_bindings(std::string& out, const front::Bindings& bindings) {
   for (const auto& [name, value] : bindings.values()) {
-    out += "bind " + fnum(value) + " " + std::to_string(name.size()) + '\n';
-    out += name;
+    out += "bind";
+    emit_g17(out, value);
+    support::append_sized(out, ' ', name);
+  }
+}
+
+// --- the fixed counter lines --------------------------------------------------
+//
+// Each table lists one "<tag> <n1> ... <nk>" line's fields in order; the
+// encoder and the decoder both walk it, so the two cannot drift apart.
+
+template <typename C, typename Line>
+void cache_line(C& c, Line&& line) {
+  line("cache", c.compile_hits, c.compile_misses, c.layout_hits, c.layout_misses,
+       c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
+}
+
+template <typename S, typename Line>
+void stats_lines(S& s, Line&& line) {
+  cache_line(s.cache, line);
+  line("session", s.cached_programs, s.cached_layouts, s.warmed_programs);
+  line("jobs", s.jobs_submitted, s.jobs_done, s.jobs_failed, s.jobs_cancelled);
+  line("spill", s.spill_layouts_stored, s.spill_layouts_loaded, s.spill_programs_stored);
+  line("spilldir", s.spill_dir_bytes, s.spill_dir_files);
+  line("queue", s.queue_depth, s.jobs_running, s.slow_jobs);
+  line("batch", s.jobs_coalesced, s.points_batched, s.points_scalar, s.points_replayed,
+       s.batch_ir_visits, s.batch_lane_visits, s.lanes_evicted, s.lanes_refilled,
+       s.simd_stripes, s.lanes_pooled, s.branches_speculated, s.lanes_speculated);
+}
+
+/// Writes one counter line.
+auto counter_writer(std::string& out) {
+  return [&out](const char* tag, const auto&... v) {
+    out += tag;
+    ((out += ' ', support::append_uint(out, v)), ...);
     out += '\n';
-  }
+  };
 }
 
-// --- reader -------------------------------------------------------------------
+/// Reads one counter line back.
+auto counter_reader(LineReader& in) {
+  return [&in](const char* tag, auto&... v) {
+    const Cells f = in.fields(' ', 1 + sizeof...(v), tag);
+    std::size_t i = 1;
+    ((v = in.u64(f[i++])), ...);
+  };
+}
 
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
+// --- reader helpers -----------------------------------------------------------
 
-  /// Next newline-terminated line (the final line may omit the newline).
-  [[nodiscard]] std::string_view next_line() {
-    if (at_end()) fail("unexpected end of input");
-    std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) eol = text_.size();
-    const std::string_view line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1 > text_.size() ? text_.size() : eol + 1;
-    return line;
-  }
-
-  /// Exactly `n` raw bytes followed by a newline (the str payload form).
-  [[nodiscard]] std::string take_bytes(std::size_t n) {
-    if (text_.size() - pos_ < n) fail("truncated payload");
-    std::string out(text_.substr(pos_, n));
-    pos_ += n;
-    if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-    else if (pos_ != text_.size()) fail("missing payload terminator");
+/// Runs `decode` over the whole of `text`; any rejection surfaces as
+/// CodecError.
+template <typename Decode>
+auto decode_all(std::string_view text, const char* decoder, Decode decode) {
+  try {
+    LineReader in(text, decoder);
+    auto out = decode(in);
+    in.end();
     return out;
+  } catch (const CodecError&) {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    throw CodecError(e.what());
   }
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw CodecError("plan codec: " + why + " at offset " + std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::string> fields_of(std::string_view line) {
-  std::vector<std::string> out;
-  for (const auto& f : support::split(line, ' ')) {
-    if (!f.empty()) out.push_back(f);
-  }
-  return out;
 }
 
-long long to_ll(Reader& in, const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed integer \"" + cell + "\"");
+/// Reads a "<magic> <version>" header line.
+void expect_header(LineReader& in, std::string_view magic, std::string_view version) {
+  const Cells f = in.next_fields(' ');
+  if (f.size() != 2 || f[0] != magic) in.fail("not an " + std::string(magic) + " payload");
+  if (f[1] != version) in.fail("unsupported version " + std::string(f[1]));
 }
 
-unsigned long long to_ull(Reader& in, const std::string& cell) {
-  try {
-    // stoull accepts (and wraps) "-1"; an unsigned field must not.
-    if (!cell.empty() && cell[0] != '-') {
-      std::size_t used = 0;
-      const unsigned long long v = std::stoull(cell, &used);
-      if (used == cell.size()) return v;
-    }
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed unsigned integer \"" + cell + "\"");
+std::string expect_str(LineReader& in, const char* tag) {
+  return std::string(in.payload(in.fields(' ', 2, tag)));
 }
 
-double to_d(Reader& in, const std::string& cell) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(cell, &used);
-    if (used == cell.size()) return v;
-  } catch (const std::exception&) {
-  }
-  in.fail("malformed number \"" + cell + "\"");
-}
-
-/// Parses a "<tag> <len>" line already read and returns the payload.
-std::string read_str_payload(Reader& in, const std::vector<std::string>& f,
-                             const char* tag) {
-  if (f.size() != 2 || f[0] != tag) in.fail(std::string("expected ") + tag + " line");
-  return in.take_bytes(static_cast<std::size_t>(to_ll(in, f[1])));
-}
-
-std::string expect_str(Reader& in, const char* tag) {
-  return read_str_payload(in, fields_of(in.next_line()), tag);
-}
-
-front::Bindings read_bindings(Reader& in, std::size_t count) {
+front::Bindings read_bindings(LineReader& in, std::size_t count) {
   front::Bindings b;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto f = fields_of(in.next_line());
-    if (f.size() != 3 || f[0] != "bind") in.fail("expected bind line");
-    const double value = to_d(in, f[1]);
-    b.set(in.take_bytes(static_cast<std::size_t>(to_ll(in, f[2]))), value);
+    const Cells f = in.fields(' ', 3, "bind");
+    const double value = in.number(f[1]);
+    b.set(std::string(in.payload(f)), value);
   }
   return b;
 }
 
-machine::CollectiveAlgo to_collective(Reader& in, const std::string& cell) {
-  const long long v = to_ll(in, cell);
-  switch (v) {
+machine::CollectiveAlgo to_collective(const LineReader& in, std::string_view cell) {
+  switch (in.integer(cell)) {
     case 0: return machine::CollectiveAlgo::RecursiveTree;
     case 1: return machine::CollectiveAlgo::Linear;
-    default: in.fail("unknown collective algorithm " + cell);
+    default: in.fail("unknown collective algorithm " + std::string(cell));
   }
 }
 
-void encode_plan_body(std::string& out, const api::ExperimentPlan& plan) {
-  out += "hpf90d-plan 1\n";
-  emit_str(out, "title", plan.title());
-  emit_str(out, "source", plan.program_source());
-  for (const auto& m : plan.machine_names()) emit_str(out, "machine", m);
-  out += "nprocs";
-  for (const int np : plan.nprocs_list()) out += " " + std::to_string(np);
-  out += '\n';
-  out += "runs " + std::to_string(plan.measure_runs()) + '\n';
-  const auto& co = plan.compiler_opts();
-  out += support::strfmt("copts %d %s\n", co.message_vectorization ? 1 : 0,
-                         fnum(co.default_mask_probability).c_str());
-  const auto& po = plan.predict_opts();
-  out += support::strfmt("popts %s %d %d %zu\n", fnum(po.mask_probability).c_str(),
-                         static_cast<int>(po.collective), po.trace ? 1 : 0,
-                         po.max_trace_events);
-  const auto& so = plan.sim_opts();
-  out += support::strfmt("sopts %llu %d %d %d %lld\n",
-                         static_cast<unsigned long long>(so.seed), so.noise ? 1 : 0,
-                         so.contention ? 1 : 0, static_cast<int>(so.collective),
-                         so.max_while_trips);
-  for (const auto& v : plan.variants()) {
-    out += support::strfmt("variant %s %zu %zu\n",
-                           v.grid_rank ? std::to_string(*v.grid_rank).c_str() : "-",
-                           v.overrides.size(), v.name.size());
-    out += v.name;
-    out += '\n';
-    for (const auto& o : v.overrides) emit_str(out, "override", o);
-  }
-  if (plan.scaled_by_nprocs()) {
-    for (const auto& sc : plan.scaled_cases_list()) {
-      out += support::strfmt("scaled %d %zu %zu\n", sc.nprocs,
-                             sc.problem.bindings.values().size(),
-                             sc.problem.name.size());
-      out += sc.problem.name;
-      out += '\n';
-      emit_bindings(out, sc.problem.bindings);
-    }
-  } else {
-    for (const auto& p : plan.problems()) {
-      out += support::strfmt("problem %zu %zu\n", p.bindings.values().size(),
-                             p.name.size());
-      out += p.name;
-      out += '\n';
-      emit_bindings(out, p.bindings);
-    }
-  }
-  out += "end\n";
-}
-
-api::ExperimentPlan decode_plan_body(Reader& in) {
-  {
-    const auto header = fields_of(in.next_line());
-    if (header.size() != 2 || header[0] != "hpf90d-plan") {
-      in.fail("not an hpf90d-plan payload");
-    }
-    if (header[1] != "1") in.fail("unsupported plan version " + header[1]);
-  }
+api::ExperimentPlan read_plan(LineReader& in) {
+  expect_header(in, "hpf90d-plan", "1");
   api::ExperimentPlan plan(expect_str(in, "title"));
   plan.source(expect_str(in, "source"));
 
   std::vector<std::string> machines;
   std::vector<api::ScaledCase> scaled;
-  bool saw_end = false;
-  while (!saw_end) {
-    const auto f = fields_of(in.next_line());
-    if (f.empty()) in.fail("empty directive line");
-    if (f[0] == "machine") {
-      machines.push_back(read_str_payload(in, f, "machine"));
-    } else if (f[0] == "nprocs") {
+  for (;;) {
+    const Cells f = in.next_fields(' ');
+    const std::string_view tag = f[0];
+    if (tag == "machine" && f.size() == 2) {
+      machines.emplace_back(in.payload(f));
+    } else if (tag == "nprocs") {
       std::vector<int> counts;
-      for (std::size_t i = 1; i < f.size(); ++i) {
-        counts.push_back(static_cast<int>(to_ll(in, f[i])));
-      }
+      for (std::size_t i = 1; i < f.size(); ++i) counts.push_back(in.integer(f[i]));
       plan.nprocs(std::move(counts));
-    } else if (f[0] == "runs") {
-      if (f.size() != 2) in.fail("malformed runs line");
-      plan.runs(static_cast<int>(to_ll(in, f[1])));
-    } else if (f[0] == "copts") {
-      if (f.size() != 3) in.fail("malformed copts line");
+    } else if (tag == "runs" && f.size() == 2) {
+      plan.runs(in.integer(f[1]));
+    } else if (tag == "copts" && f.size() == 3) {
       compiler::CompilerOptions co;
-      co.message_vectorization = to_ll(in, f[1]) != 0;
-      co.default_mask_probability = to_d(in, f[2]);
+      co.message_vectorization = in.flag(f[1]);
+      co.default_mask_probability = in.number(f[2]);
       plan.compiler_options(co);
-    } else if (f[0] == "popts") {
-      if (f.size() != 5) in.fail("malformed popts line");
+    } else if (tag == "popts" && f.size() == 5) {
       core::PredictOptions po;
-      po.mask_probability = to_d(in, f[1]);
+      po.mask_probability = in.number(f[1]);
       po.collective = to_collective(in, f[2]);
-      po.trace = to_ll(in, f[3]) != 0;
-      po.max_trace_events = static_cast<std::size_t>(to_ll(in, f[4]));
+      po.trace = in.flag(f[3]);
+      po.max_trace_events = in.u64(f[4]);
       plan.predict_options(po);
-    } else if (f[0] == "sopts") {
-      if (f.size() != 6) in.fail("malformed sopts line");
+    } else if (tag == "sopts" && f.size() == 6) {
       sim::SimOptions so;
-      so.seed = to_ull(in, f[1]);
-      so.noise = to_ll(in, f[2]) != 0;
-      so.contention = to_ll(in, f[3]) != 0;
+      so.seed = in.u64(f[1]);
+      so.noise = in.flag(f[2]);
+      so.contention = in.flag(f[3]);
       so.collective = to_collective(in, f[4]);
-      so.max_while_trips = to_ll(in, f[5]);
+      so.max_while_trips = in.i64(f[5]);
       plan.sim_options(so);
-    } else if (f[0] == "variant") {
-      if (f.size() != 4) in.fail("malformed variant line");
+    } else if (tag == "variant" && f.size() == 4) {
       api::DirectiveVariant v;
-      if (f[1] != "-") v.grid_rank = static_cast<int>(to_ll(in, f[1]));
-      const auto noverrides = static_cast<std::size_t>(to_ll(in, f[2]));
-      v.name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[3])));
+      if (f[1] != "-") v.grid_rank = in.integer(f[1]);
+      const std::size_t noverrides = in.count(f[2]);
+      v.name = in.payload(f);
       for (std::size_t i = 0; i < noverrides; ++i) {
         v.overrides.push_back(expect_str(in, "override"));
       }
       plan.add_variant(std::move(v));
-    } else if (f[0] == "problem") {
-      if (f.size() != 3) in.fail("malformed problem line");
-      const auto nbind = static_cast<std::size_t>(to_ll(in, f[1]));
-      std::string name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[2])));
+    } else if (tag == "problem" && f.size() == 3) {
+      const std::size_t nbind = in.count(f[1]);
+      std::string name(in.payload(f));
       plan.add_problem(std::move(name), read_bindings(in, nbind));
-    } else if (f[0] == "scaled") {
-      if (f.size() != 4) in.fail("malformed scaled line");
+    } else if (tag == "scaled" && f.size() == 4) {
       api::ScaledCase sc;
-      sc.nprocs = static_cast<int>(to_ll(in, f[1]));
-      const auto nbind = static_cast<std::size_t>(to_ll(in, f[2]));
-      sc.problem.name = in.take_bytes(static_cast<std::size_t>(to_ll(in, f[3])));
+      sc.nprocs = in.integer(f[1]);
+      const std::size_t nbind = in.count(f[2]);
+      sc.problem.name = in.payload(f);
       sc.problem.bindings = read_bindings(in, nbind);
       scaled.push_back(std::move(sc));
-    } else if (f[0] == "end") {
-      saw_end = true;
+    } else if (tag == "end" && f.size() == 1) {
+      break;
     } else {
-      in.fail("unknown directive \"" + f[0] + "\"");
+      in.fail("malformed or unknown directive \"" + std::string(tag) + '"');
     }
   }
   if (!machines.empty()) plan.machines(std::move(machines));
@@ -280,15 +201,68 @@ api::ExperimentPlan decode_plan_body(Reader& in) {
 }  // namespace
 
 std::string encode_plan(const api::ExperimentPlan& plan) {
-  std::string out;
-  encode_plan_body(out, plan);
+  std::string out = "hpf90d-plan 1\n";
+  emit_str(out, "title", plan.title());
+  emit_str(out, "source", plan.program_source());
+  for (const auto& m : plan.machine_names()) emit_str(out, "machine", m);
+  out += "nprocs";
+  for (const int np : plan.nprocs_list()) emit_int(out, np);
+  out += "\nruns";
+  emit_int(out, plan.measure_runs());
+  const auto& co = plan.compiler_opts();
+  out += "\ncopts";
+  emit_int(out, co.message_vectorization ? 1 : 0);
+  emit_g17(out, co.default_mask_probability);
+  const auto& po = plan.predict_opts();
+  out += "\npopts";
+  emit_g17(out, po.mask_probability);
+  emit_int(out, static_cast<int>(po.collective));
+  emit_int(out, po.trace ? 1 : 0);
+  out += ' ';
+  support::append_uint(out, po.max_trace_events);
+  const auto& so = plan.sim_opts();
+  out += "\nsopts ";
+  support::append_uint(out, so.seed);
+  emit_int(out, so.noise ? 1 : 0);
+  emit_int(out, so.contention ? 1 : 0);
+  emit_int(out, static_cast<int>(so.collective));
+  emit_int(out, so.max_while_trips);
+  out += '\n';
+  for (const auto& v : plan.variants()) {
+    out += "variant ";
+    if (v.grid_rank) {
+      support::append_int(out, *v.grid_rank);
+    } else {
+      out += '-';
+    }
+    out += ' ';
+    support::append_uint(out, v.overrides.size());
+    support::append_sized(out, ' ', v.name);
+    for (const auto& o : v.overrides) emit_str(out, "override", o);
+  }
+  if (plan.scaled_by_nprocs()) {
+    for (const auto& sc : plan.scaled_cases_list()) {
+      out += "scaled";
+      emit_int(out, sc.nprocs);
+      out += ' ';
+      support::append_uint(out, sc.problem.bindings.values().size());
+      support::append_sized(out, ' ', sc.problem.name);
+      emit_bindings(out, sc.problem.bindings);
+    }
+  } else {
+    for (const auto& p : plan.problems()) {
+      out += "problem ";
+      support::append_uint(out, p.bindings.values().size());
+      support::append_sized(out, ' ', p.name);
+      emit_bindings(out, p.bindings);
+    }
+  }
+  out += "end\n";
   return out;
 }
 
 api::ExperimentPlan decode_plan(std::string_view text) {
-  Reader in(text);
-  api::ExperimentPlan plan = decode_plan_body(in);
-  return plan;
+  return decode_all(text, "decode_plan", read_plan);
 }
 
 std::string encode_study(const study::StudyPlan& plan) {
@@ -296,8 +270,9 @@ std::string encode_study(const study::StudyPlan& plan) {
   emit_str(out, "title", plan.title());
   emit_str(out, "base", plan.base());
   for (const auto& axis : plan.family().axes()) {
-    out += "axis " + std::to_string(static_cast<int>(axis.knob));
-    for (const double v : axis.values) out += " " + fnum(v);
+    out += "axis";
+    emit_int(out, static_cast<int>(axis.knob));
+    for (const double v : axis.values) emit_g17(out, v);
     out += '\n';
   }
   for (const auto& r : plan.reference_machines()) emit_str(out, "reference", r);
@@ -307,191 +282,83 @@ std::string encode_study(const study::StudyPlan& plan) {
 }
 
 study::StudyPlan decode_study(std::string_view text) {
-  Reader in(text);
-  {
-    const auto header = fields_of(in.next_line());
-    if (header.size() != 2 || header[0] != "hpf90d-study") {
-      in.fail("not an hpf90d-study payload");
+  return decode_all(text, "decode_study", [](LineReader& in) {
+    expect_header(in, "hpf90d-study", "1");
+    study::StudyPlan plan(expect_str(in, "title"));
+    plan.base_machine(expect_str(in, "base"));
+    for (;;) {
+      const Cells f = in.next_fields(' ');
+      const std::string_view tag = f[0];
+      if (tag == "axis" && f.size() >= 2) {
+        const int knob = in.integer(f[1]);
+        if (knob < 0 || knob > 2) in.fail("unknown knob " + std::string(f[1]));
+        std::vector<double> values;
+        for (std::size_t i = 2; i < f.size(); ++i) values.push_back(in.number(f[i]));
+        plan.knob_axis(static_cast<study::Knob>(knob), std::move(values));
+      } else if (tag == "reference" && f.size() == 2) {
+        plan.add_reference_machine(std::string(in.payload(f)));
+      } else if (tag == "plan" && f.size() == 2) {
+        plan.replace_inner(decode_plan(in.payload(f)));
+      } else if (tag == "end" && f.size() == 1) {
+        break;
+      } else {
+        in.fail("malformed or unknown directive \"" + std::string(tag) + '"');
+      }
     }
-    if (header[1] != "1") in.fail("unsupported study version " + header[1]);
-  }
-  study::StudyPlan plan(expect_str(in, "title"));
-  plan.base_machine(expect_str(in, "base"));
-  for (;;) {
-    const auto f = fields_of(in.next_line());
-    if (f.empty()) in.fail("empty directive line");
-    if (f[0] == "axis") {
-      if (f.size() < 2) in.fail("malformed axis line");
-      const long long knob = to_ll(in, f[1]);
-      if (knob < 0 || knob > 2) in.fail("unknown knob " + f[1]);
-      std::vector<double> values;
-      for (std::size_t i = 2; i < f.size(); ++i) values.push_back(to_d(in, f[i]));
-      plan.knob_axis(static_cast<study::Knob>(knob), std::move(values));
-    } else if (f[0] == "reference") {
-      plan.add_reference_machine(read_str_payload(in, f, "reference"));
-    } else if (f[0] == "plan") {
-      plan.replace_inner(decode_plan(read_str_payload(in, f, "plan")));
-    } else if (f[0] == "end") {
-      break;
-    } else {
-      in.fail("unknown directive \"" + f[0] + "\"");
-    }
-  }
-  return plan;
+    return plan;
+  });
 }
 
 std::string encode_outcome(const JobOutcome& outcome) {
-  std::string out = "hpf90d-result 1\n";
-  out += "state " + outcome.state + '\n';
-  out += std::string("kind ") + (outcome.is_study ? "study" : "plan") + '\n';
+  std::string out = "hpf90d-result 1\nstate ";
+  out += outcome.state;
+  out += outcome.is_study ? "\nkind study\n" : "\nkind plan\n";
   emit_str(out, "title", outcome.title);
   emit_str(out, "error", outcome.error);
-  out += "wall " + fnum(outcome.wall_seconds) + '\n';
-  const api::CacheStats& c = outcome.cache;
-  out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
-                         c.compile_misses, c.layout_hits, c.layout_misses,
-                         c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
+  out += "wall";
+  emit_g17(out, outcome.wall_seconds);
+  out += '\n';
+  cache_line(outcome.cache, counter_writer(out));
   emit_str(out, "body", outcome.body_csv);
   return out;
 }
 
 JobOutcome decode_outcome(std::string_view text) {
-  Reader in(text);
-  {
-    const auto header = fields_of(in.next_line());
-    if (header.size() != 2 || header[0] != "hpf90d-result" || header[1] != "1") {
-      in.fail("not an hpf90d-result payload");
-    }
-  }
-  JobOutcome out;
-  {
-    const auto f = fields_of(in.next_line());
-    if (f.size() != 2 || f[0] != "state") in.fail("expected state line");
-    out.state = f[1];
-  }
-  {
-    const auto f = fields_of(in.next_line());
-    if (f.size() != 2 || f[0] != "kind") in.fail("expected kind line");
-    out.is_study = f[1] == "study";
-  }
-  out.title = expect_str(in, "title");
-  out.error = expect_str(in, "error");
-  {
-    const auto f = fields_of(in.next_line());
-    if (f.size() != 2 || f[0] != "wall") in.fail("expected wall line");
-    out.wall_seconds = to_d(in, f[1]);
-  }
-  {
-    const auto f = fields_of(in.next_line());
-    if (f.size() != 8 || f[0] != "cache") in.fail("expected cache line");
-    out.cache.compile_hits = static_cast<std::size_t>(to_ll(in, f[1]));
-    out.cache.compile_misses = static_cast<std::size_t>(to_ll(in, f[2]));
-    out.cache.layout_hits = static_cast<std::size_t>(to_ll(in, f[3]));
-    out.cache.layout_misses = static_cast<std::size_t>(to_ll(in, f[4]));
-    out.cache.layout_evictions = static_cast<std::size_t>(to_ll(in, f[5]));
-    out.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, f[6]));
-    out.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, f[7]));
-  }
-  out.body_csv = expect_str(in, "body");
-  return out;
+  return decode_all(text, "decode_outcome", [](LineReader& in) {
+    expect_header(in, "hpf90d-result", "1");
+    JobOutcome out;
+    out.state = in.fields(' ', 2, "state")[1];
+    const std::string_view kind = in.fields(' ', 2, "kind")[1];
+    if (kind != "study" && kind != "plan") in.fail("unknown job kind");
+    out.is_study = kind == "study";
+    out.title = expect_str(in, "title");
+    out.error = expect_str(in, "error");
+    out.wall_seconds = in.number(in.fields(' ', 2, "wall")[1]);
+    cache_line(out.cache, counter_reader(in));
+    out.body_csv = expect_str(in, "body");
+    return out;
+  });
 }
 
 std::string encode_stats(const ServerStats& s) {
-  const api::CacheStats& c = s.cache;
   // version 5: widens the batch line with cross-chunk pool + speculation
   // counters. v4 added the spilldir and queue lines (disk usage, live
   // queue occupancy, slow-job count); v3 widened the batch line with
   // re-compaction + SIMD telemetry; v2 added the batch line itself.
   std::string out = "hpf90d-stats 5\n";
-  out += support::strfmt("cache %zu %zu %zu %zu %zu %zu %zu\n", c.compile_hits,
-                         c.compile_misses, c.layout_hits, c.layout_misses,
-                         c.layout_evictions, c.layout_spill_hits, c.layout_capacity);
-  out += support::strfmt("session %zu %zu %zu\n", s.cached_programs, s.cached_layouts,
-                         s.warmed_programs);
-  out += support::strfmt("jobs %zu %zu %zu %zu\n", s.jobs_submitted, s.jobs_done,
-                         s.jobs_failed, s.jobs_cancelled);
-  out += support::strfmt("spill %zu %zu %zu\n", s.spill_layouts_stored,
-                         s.spill_layouts_loaded, s.spill_programs_stored);
-  out += support::strfmt("spilldir %llu %llu\n",
-                         static_cast<unsigned long long>(s.spill_dir_bytes),
-                         static_cast<unsigned long long>(s.spill_dir_files));
-  out += support::strfmt("queue %zu %zu %zu\n", s.queue_depth, s.jobs_running,
-                         s.slow_jobs);
-  out += support::strfmt("batch %zu %zu %zu %zu %llu %llu %llu %llu %llu %llu %llu %llu\n",
-                         s.jobs_coalesced, s.points_batched, s.points_scalar,
-                         s.points_replayed,
-                         static_cast<unsigned long long>(s.batch_ir_visits),
-                         static_cast<unsigned long long>(s.batch_lane_visits),
-                         static_cast<unsigned long long>(s.lanes_evicted),
-                         static_cast<unsigned long long>(s.lanes_refilled),
-                         static_cast<unsigned long long>(s.simd_stripes),
-                         static_cast<unsigned long long>(s.lanes_pooled),
-                         static_cast<unsigned long long>(s.branches_speculated),
-                         static_cast<unsigned long long>(s.lanes_speculated));
+  stats_lines(s, counter_writer(out));
   return out;
 }
 
 ServerStats decode_stats(std::string_view text) {
-  Reader in(text);
-  {
-    const auto header = fields_of(in.next_line());
-    if (header.size() != 2 || header[0] != "hpf90d-stats") {
-      in.fail("not an hpf90d-stats payload");
-    }
+  return decode_all(text, "decode_stats", [](LineReader& in) {
     // Version-strict: a v4 daemon's payload is a hard error, not a partial
     // decode — mixed-version deployments must fail loudly.
-    if (header[1] != "5") in.fail("unsupported stats version " + header[1]);
-  }
-  ServerStats s;
-  const auto cache = fields_of(in.next_line());
-  if (cache.size() != 8 || cache[0] != "cache") in.fail("expected cache line");
-  s.cache.compile_hits = static_cast<std::size_t>(to_ll(in, cache[1]));
-  s.cache.compile_misses = static_cast<std::size_t>(to_ll(in, cache[2]));
-  s.cache.layout_hits = static_cast<std::size_t>(to_ll(in, cache[3]));
-  s.cache.layout_misses = static_cast<std::size_t>(to_ll(in, cache[4]));
-  s.cache.layout_evictions = static_cast<std::size_t>(to_ll(in, cache[5]));
-  s.cache.layout_spill_hits = static_cast<std::size_t>(to_ll(in, cache[6]));
-  s.cache.layout_capacity = static_cast<std::size_t>(to_ll(in, cache[7]));
-  const auto session = fields_of(in.next_line());
-  if (session.size() != 4 || session[0] != "session") in.fail("expected session line");
-  s.cached_programs = static_cast<std::size_t>(to_ll(in, session[1]));
-  s.cached_layouts = static_cast<std::size_t>(to_ll(in, session[2]));
-  s.warmed_programs = static_cast<std::size_t>(to_ll(in, session[3]));
-  const auto jobs = fields_of(in.next_line());
-  if (jobs.size() != 5 || jobs[0] != "jobs") in.fail("expected jobs line");
-  s.jobs_submitted = static_cast<std::size_t>(to_ll(in, jobs[1]));
-  s.jobs_done = static_cast<std::size_t>(to_ll(in, jobs[2]));
-  s.jobs_failed = static_cast<std::size_t>(to_ll(in, jobs[3]));
-  s.jobs_cancelled = static_cast<std::size_t>(to_ll(in, jobs[4]));
-  const auto spill = fields_of(in.next_line());
-  if (spill.size() != 4 || spill[0] != "spill") in.fail("expected spill line");
-  s.spill_layouts_stored = static_cast<std::size_t>(to_ll(in, spill[1]));
-  s.spill_layouts_loaded = static_cast<std::size_t>(to_ll(in, spill[2]));
-  s.spill_programs_stored = static_cast<std::size_t>(to_ll(in, spill[3]));
-  const auto spilldir = fields_of(in.next_line());
-  if (spilldir.size() != 3 || spilldir[0] != "spilldir") in.fail("expected spilldir line");
-  s.spill_dir_bytes = static_cast<std::uint64_t>(to_ull(in, spilldir[1]));
-  s.spill_dir_files = static_cast<std::uint64_t>(to_ull(in, spilldir[2]));
-  const auto queue = fields_of(in.next_line());
-  if (queue.size() != 4 || queue[0] != "queue") in.fail("expected queue line");
-  s.queue_depth = static_cast<std::size_t>(to_ll(in, queue[1]));
-  s.jobs_running = static_cast<std::size_t>(to_ll(in, queue[2]));
-  s.slow_jobs = static_cast<std::size_t>(to_ll(in, queue[3]));
-  const auto batch = fields_of(in.next_line());
-  if (batch.size() != 13 || batch[0] != "batch") in.fail("expected batch line");
-  s.jobs_coalesced = static_cast<std::size_t>(to_ll(in, batch[1]));
-  s.points_batched = static_cast<std::size_t>(to_ll(in, batch[2]));
-  s.points_scalar = static_cast<std::size_t>(to_ll(in, batch[3]));
-  s.points_replayed = static_cast<std::size_t>(to_ll(in, batch[4]));
-  s.batch_ir_visits = static_cast<std::uint64_t>(to_ll(in, batch[5]));
-  s.batch_lane_visits = static_cast<std::uint64_t>(to_ll(in, batch[6]));
-  s.lanes_evicted = static_cast<std::uint64_t>(to_ll(in, batch[7]));
-  s.lanes_refilled = static_cast<std::uint64_t>(to_ll(in, batch[8]));
-  s.simd_stripes = static_cast<std::uint64_t>(to_ll(in, batch[9]));
-  s.lanes_pooled = static_cast<std::uint64_t>(to_ll(in, batch[10]));
-  s.branches_speculated = static_cast<std::uint64_t>(to_ll(in, batch[11]));
-  s.lanes_speculated = static_cast<std::uint64_t>(to_ll(in, batch[12]));
-  return s;
+    expect_header(in, "hpf90d-stats", "5");
+    ServerStats s;
+    stats_lines(s, counter_reader(in));
+    return s;
+  });
 }
 
 }  // namespace hpf90d::serve

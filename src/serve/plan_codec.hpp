@@ -1,7 +1,7 @@
 // plan_codec.hpp — deterministic text encodings for the service protocol.
 //
 // The wire layer (wire.hpp) moves opaque payloads; this module defines
-// them. Plans travel as line-oriented text: fixed fields are space/tab
+// them. Plans travel as line-oriented text: fixed fields are space
 // separated, every user-controlled string (titles, names, directive
 // overrides, program source) is length-prefixed so arbitrary bytes
 // round-trip, and doubles are rendered with %.17g so decode(encode(p))
@@ -12,8 +12,12 @@
 // encode(p), with axis defaults applied, so the encoding can double as a
 // content address for job dedup.
 //
-// Decoders throw CodecError on malformed input (syntax only — plan
-// semantics are checked by ExperimentPlan::validate at execution time).
+// Every encoder writes through support/codec's one writer and every
+// decoder reads through its one LineReader, which rejects junk cells,
+// '-' on unsigned fields, counts larger than the input and trailing bytes.
+// Decoders throw CodecError, a std::invalid_argument, on malformed input
+// (syntax only — plan semantics are checked by ExperimentPlan::validate at
+// execution time).
 #pragma once
 
 #include <stdexcept>
@@ -26,9 +30,9 @@
 
 namespace hpf90d::serve {
 
-class CodecError : public std::runtime_error {
+class CodecError : public std::invalid_argument {
  public:
-  using std::runtime_error::runtime_error;
+  using std::invalid_argument::invalid_argument;
 };
 
 [[nodiscard]] std::string encode_plan(const api::ExperimentPlan& plan);

@@ -14,23 +14,9 @@
 
 #include "serve/wire.hpp"
 #include "study/study_plan.hpp"
+#include "support/codec.hpp"
 
 namespace hpf90d::serve {
-
-namespace {
-
-/// Parses a decimal job id; 0 (never issued) on malformed input.
-std::uint64_t parse_job_id(const std::string& payload) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t id = std::stoull(payload, &used);
-    if (used == payload.size()) return id;
-  } catch (const std::exception&) {
-  }
-  return 0;
-}
-
-}  // namespace
 
 ExperimentServer::ExperimentServer(ServerOptions options)
     : options_(std::move(options)),
@@ -193,7 +179,8 @@ void ExperimentServer::handle_connection(int fd) {
           break;
         }
         case MsgType::Status: {
-          const auto state = queue_.status(parse_job_id(request.payload));
+          // job ids start at 1, so a malformed id reads as an unknown job
+          const auto state = queue_.status(support::parse_u64(request.payload).value_or(0));
           if (state) {
             reply.type = MsgType::StatusReply;
             reply.payload = job_state_name(*state);
@@ -204,7 +191,7 @@ void ExperimentServer::handle_connection(int fd) {
           break;
         }
         case MsgType::Wait: {
-          const auto job = queue_.wait(parse_job_id(request.payload));
+          const auto job = queue_.wait(support::parse_u64(request.payload).value_or(0));
           if (!job) {
             reply.type = MsgType::Error;
             reply.payload = "unknown job or server shutting down";
@@ -222,7 +209,7 @@ void ExperimentServer::handle_connection(int fd) {
           break;
         }
         case MsgType::Cancel: {
-          const std::uint64_t id = parse_job_id(request.payload);
+          const std::uint64_t id = support::parse_u64(request.payload).value_or(0);
           reply.type = MsgType::CancelReply;
           if (queue_.cancel(id)) {
             reply.payload = "cancelled";
@@ -427,29 +414,17 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
   // change: the daemon still samples `count` times at the interval, but a
   // snapshot is only written when its activity counters (queue occupancy,
   // job terminals, batch telemetry) moved since the last pushed one.
-  std::uint64_t count = 0;
-  std::uint64_t interval_ms = 0;
-  bool on_change = false;
-  {
-    std::size_t used = 0;
-    try {
-      count = std::stoull(request, &used);
-      std::size_t used2 = 0;
-      const std::string rest = request.substr(used);
-      interval_ms = std::stoull(rest, &used2);
-      std::string flag = rest.substr(used2);
-      flag.erase(0, flag.find_first_not_of(' '));
-      if (flag == "changed") {
-        on_change = true;
-      } else if (!flag.empty()) {
-        throw std::invalid_argument("unknown stats stream flag");
-      }
-    } catch (const std::exception&) {
-      write_frame(fd, Frame{MsgType::Error, "malformed stats stream request"});
-      return;
-    }
+  std::vector<std::string_view> f;
+  support::split_fields(request, ' ', f);
+  const bool on_change = f.size() == 3 && f[2] == "changed";
+  const std::optional<std::uint64_t> count = support::parse_u64(f[0]);
+  const std::optional<std::uint64_t> interval_ms =
+      f.size() > 1 ? support::parse_u64(f[1]) : std::nullopt;
+  if (!count || !interval_ms || (f.size() != 2 && !on_change)) {
+    write_frame(fd, Frame{MsgType::Error, "malformed stats stream request"});
+    return;
   }
-  if (count < 1 || count > 1000 || interval_ms > 10000) {
+  if (*count < 1 || *count > 1000 || *interval_ms > 10000) {
     write_frame(fd, Frame{MsgType::Error, "stats stream bounds: count 1..1000, interval <= 10000ms"});
     return;
   }
@@ -465,11 +440,11 @@ void ExperimentServer::stream_stats(int fd, const std::string& request) {
   };
   bool pushed_any = false;
   std::array<std::uint64_t, 10> last{};
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < *count; ++i) {
     if (i > 0) {
       // wait on the wake pipe, so shutdown is never blocked on a stream
       pollfd wake{wake_fds_[0], POLLIN, 0};
-      (void)::poll(&wake, 1, static_cast<int>(interval_ms));
+      (void)::poll(&wake, 1, static_cast<int>(*interval_ms));
       if (stopping_.load()) break;
     }
     const ServerStats snapshot = stats();

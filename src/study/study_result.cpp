@@ -324,14 +324,12 @@ StudyDiff StudyResult::diff(const StudyResult& candidate, double threshold) cons
 
   // --- per-point estimated-time deltas ----------------------------------------
   const SweepIndex after_ix(candidate.report);
-  std::size_t matched = 0;
   for (const auto& r : report.records) {
     const api::RunRecord* c = after_ix.find(r.machine, r.variant, r.problem, r.nprocs);
     if (c == nullptr) {
       ++out.only_in_before;
       continue;
     }
-    ++matched;
     const double a = r.comparison.estimated;
     const double b = c->comparison.estimated;
     const double rel = a != 0.0 ? (b - a) / a : 0.0;
@@ -341,7 +339,15 @@ StudyDiff StudyResult::diff(const StudyResult& candidate, double threshold) cons
           PointDelta{r.machine, r.variant, r.problem, r.nprocs, a, b, rel});
     }
   }
-  out.only_in_after = candidate.report.records.size() - matched;
+  // counted like only_in_before, from the other side: a baseline that
+  // repeats a key matches one candidate record twice, so "candidate size
+  // minus matches" would wrap
+  const SweepIndex before_ix(report);
+  for (const auto& r : candidate.report.records) {
+    if (before_ix.find(r.machine, r.variant, r.problem, r.nprocs) == nullptr) {
+      ++out.only_in_after;
+    }
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "support/codec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 #include <system_error>
@@ -54,11 +55,29 @@ void append_json_escaped(std::string& out, std::string_view s) {
   }
 }
 
+void append_sized(std::string& out, char sep, std::string_view bytes) {
+  out += sep;
+  append_uint(out, bytes.size());
+  out += '\n';
+  out += bytes;
+  out += '\n';
+}
+
 namespace {
 
 [[noreturn]] void bad_cell(const char* decoder, const char* what, std::string_view cell) {
   throw std::invalid_argument(std::string(decoder) + ": malformed " + what + " \"" +
                               std::string(cell) + "\"");
+}
+
+/// std::from_chars over the whole of `s` (an unsigned T rejects '-').
+template <typename T, typename... Format>
+std::optional<T> parse_whole(std::string_view s, Format... format) noexcept {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto r = std::from_chars(s.data(), end, v, format...);
+  if (r.ec != std::errc() || r.ptr != end) return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -90,29 +109,17 @@ void split_fields(std::string_view s, char sep, std::vector<std::string_view>& o
 }
 
 std::optional<double> parse_double(std::string_view s) noexcept {
-  double v = 0;
-  const char* end = s.data() + s.size();
-  const auto r = std::from_chars(s.data(), end, v, std::chars_format::general);
-  if (r.ec != std::errc() || r.ptr != end) return std::nullopt;
-  return v;
+  return parse_whole<double>(s, std::chars_format::general);
 }
 
-std::optional<int> parse_int(std::string_view s) noexcept {
-  int v = 0;
-  const char* end = s.data() + s.size();
-  const auto r = std::from_chars(s.data(), end, v);
-  if (r.ec != std::errc() || r.ptr != end) return std::nullopt;
-  return v;
+std::optional<int> parse_int(std::string_view s) noexcept { return parse_whole<int>(s); }
+
+std::optional<long long> parse_i64(std::string_view s) noexcept {
+  return parse_whole<long long>(s);
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept {
-  std::uint64_t v = 0;
-  const char* end = s.data() + s.size();
-  // from_chars would read "-1" as a failed parse anyway; be explicit
-  if (s.empty() || s.front() == '-') return std::nullopt;
-  const auto r = std::from_chars(s.data(), end, v);
-  if (r.ec != std::errc() || r.ptr != end) return std::nullopt;
-  return v;
+  return parse_whole<std::uint64_t>(s);
 }
 
 void JsonCursor::expect(char c) {
@@ -244,6 +251,105 @@ void JsonCursor::skip_ws() {
   while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
                                  text_[pos_] == '\t' || text_[pos_] == '\r')) {
     ++pos_;
+  }
+}
+
+std::string_view LineReader::next_line() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  const std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
+  const std::string_view line = text_.substr(pos_, eol - pos_);
+  advance(eol);
+  return line;
+}
+
+std::vector<std::string_view> LineReader::next_fields(char sep) {
+  std::vector<std::string_view> cells;
+  split_fields(next_line(), sep, cells);
+  return cells;
+}
+
+std::vector<std::string_view> LineReader::fields(char sep, std::size_t n,
+                                                 std::string_view tag) {
+  std::vector<std::string_view> cells = next_fields(sep);
+  if (cells.size() != n || cells[0] != tag) {
+    fail("expected a " + std::string(tag) + " line of " + std::to_string(n) + " cells");
+  }
+  return cells;
+}
+
+std::string_view LineReader::take_bytes(std::uint64_t n) {
+  // pos_ <= size always, so the subtraction cannot wrap; n + pos_ could
+  if (n > text_.size() - pos_) fail("truncated payload");
+  const std::size_t to = pos_ + static_cast<std::size_t>(n);
+  if (to < text_.size() && text_[to] != '\n') fail("missing payload terminator");
+  const std::string_view bytes = text_.substr(pos_, to - pos_);
+  if (newlines_left_ != kUnknown) {
+    newlines_left_ -= static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n'));
+  }
+  advance(to);
+  return bytes;
+}
+
+std::string_view LineReader::payload(const std::vector<std::string_view>& cells) {
+  return take_bytes(u64(cells.back()));
+}
+
+std::string_view LineReader::rest() {
+  const std::string_view out = text_.substr(pos_);
+  pos_ = text_.size();
+  return out;
+}
+
+void LineReader::end() const {
+  if (pos_ != text_.size()) fail("trailing content");
+}
+
+template <typename T>
+T LineReader::checked(std::optional<T> v, const char* what, std::string_view cell) const {
+  if (!v) fail(std::string("malformed ") + what + " \"" + std::string(cell) + '"');
+  return *v;
+}
+
+double LineReader::number(std::string_view c) const {
+  return checked(parse_double(c), "number", c);
+}
+int LineReader::integer(std::string_view c) const { return checked(parse_int(c), "integer", c); }
+long long LineReader::i64(std::string_view c) const { return checked(parse_i64(c), "integer", c); }
+std::uint64_t LineReader::u64(std::string_view c) const {
+  return checked(parse_u64(c), "unsigned integer", c);
+}
+
+bool LineReader::flag(std::string_view c) const {
+  if (c != "0" && c != "1") fail("malformed flag \"" + std::string(c) + '"');
+  return c == "1";
+}
+
+std::size_t LineReader::count(std::string_view cell) {
+  const std::uint64_t n = u64(cell);
+  if (newlines_left_ == kUnknown) {
+    newlines_left_ =
+        static_cast<std::size_t>(std::count(text_.begin() + pos_, text_.end(), '\n'));
+  }
+  // an unterminated last line is a line too
+  const bool tail = pos_ < text_.size() && text_.back() != '\n';
+  const std::size_t lines = newlines_left_ + (tail ? 1 : 0);
+  if (n > lines) {
+    fail("count " + std::to_string(n) + " exceeds the " + std::to_string(lines) +
+         " lines left");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+void LineReader::fail(const std::string& why) const {
+  throw std::invalid_argument(std::string(decoder_) + ": " + why + " at offset " +
+                              std::to_string(pos_));
+}
+
+void LineReader::advance(std::size_t to) {
+  pos_ = to;
+  if (pos_ < text_.size()) {
+    ++pos_;  // the '\n' at `to`
+    if (newlines_left_ != kUnknown) --newlines_left_;
   }
 }
 

@@ -1,6 +1,7 @@
-// codec.hpp — the pieces every deterministic report codec shares: an
-// append-only %.17g number writer, a strict whole-cell number reader, and a
-// minimal JSON cursor.
+// codec.hpp — the one writer and the one reader behind every deterministic
+// text format in the tree: the report codecs (CSV/JSON), the service
+// payloads (plan, study, outcome, stats), the artifact spill (layouts,
+// recipes, artifact frames) and the daemon's numeric request fields.
 //
 // The writer goes through std::to_chars(..., chars_format::general, 17),
 // which the standard defines as printf's "%.17g" in the "C" locale, so
@@ -8,8 +9,10 @@
 // printf's format parsing (or support::strfmt's measure-then-write pass).
 // The reader is std::from_chars over the whole cell: every value the writer
 // emits round-trips (subnormals, ±0, ±inf and nan included), and anything
-// else — trailing junk, leading '+' or blanks, values that overflow to
-// infinity or underflow to zero — is rejected instead of guessed at.
+// else — trailing junk, leading '+' or blanks, a '-' on an unsigned field,
+// values that overflow to infinity or underflow to zero — is rejected
+// instead of guessed at. Every decoder built on JsonCursor or LineReader
+// rejects with std::invalid_argument naming itself and the byte offset.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,11 @@ void append_csv_field(std::string& out, std::string_view s);
 /// the other control bytes). No surrounding quotes.
 void append_json_escaped(std::string& out, std::string_view s);
 
+/// Appends "<sep><len>\n<bytes>\n": the length-prefixed tail with which the
+/// line-record formats carry a string that may hold any byte.
+/// LineReader::payload reads it back.
+void append_sized(std::string& out, char sep, std::string_view bytes);
+
 /// Parses a whole cell as a double; nullopt unless every byte is consumed
 /// and the value is representable (see the file comment).
 [[nodiscard]] std::optional<double> parse_double(std::string_view s) noexcept;
@@ -42,6 +50,7 @@ void append_json_escaped(std::string& out, std::string_view s);
 /// Parses a whole cell as a decimal int ('-' allowed, '+' and blanks not);
 /// nullopt on junk or overflow.
 [[nodiscard]] std::optional<int> parse_int(std::string_view s) noexcept;
+[[nodiscard]] std::optional<long long> parse_i64(std::string_view s) noexcept;
 
 /// Parses a whole cell as an unsigned decimal; nullopt on junk or overflow.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
@@ -93,6 +102,61 @@ class JsonCursor {
   std::string_view text_;
   const char* decoder_;
   std::size_t pos_ = 0;
+};
+
+/// A cursor over one line-record document: '\n'-terminated lines of cells
+/// split on one separator, plus length-prefixed raw payloads (see
+/// append_sized). Every failure throws std::invalid_argument prefixed with
+/// the decoder's name and suffixed with the byte offset. Views it returns
+/// point into the text, which must outlive them.
+class LineReader {
+ public:
+  LineReader(std::string_view text, const char* decoder) : text_(text), decoder_(decoder) {}
+
+  /// The next line without its '\n' (the last line may lack one).
+  [[nodiscard]] std::string_view next_line();
+  /// The next line split on `sep`, empty cells kept.
+  [[nodiscard]] std::vector<std::string_view> next_fields(char sep);
+  /// The next line split on `sep`; throws unless it is `n` cells led by `tag`.
+  [[nodiscard]] std::vector<std::string_view> fields(char sep, std::size_t n,
+                                                     std::string_view tag);
+  /// Exactly `n` raw bytes, then a '\n' unless they end the input.
+  [[nodiscard]] std::string_view take_bytes(std::uint64_t n);
+  /// The payload announced by the last cell of a line just read.
+  [[nodiscard]] std::string_view payload(const std::vector<std::string_view>& cells);
+  /// Everything not yet read.
+  [[nodiscard]] std::string_view rest();
+  /// Throws unless the whole input has been read.
+  void end() const;
+
+  /// Typed cells, read through parse_double / parse_int / parse_i64 /
+  /// parse_u64; a flag is "0" or "1".
+  [[nodiscard]] double number(std::string_view cell) const;
+  [[nodiscard]] int integer(std::string_view cell) const;
+  [[nodiscard]] long long i64(std::string_view cell) const;
+  [[nodiscard]] std::uint64_t u64(std::string_view cell) const;
+  [[nodiscard]] bool flag(std::string_view cell) const;
+  /// An unsigned count of records that follow, each at least one line
+  /// long. Throws when it exceeds the lines left, so no count read from the
+  /// input can size an allocation beyond what the input holds.
+  [[nodiscard]] std::size_t count(std::string_view cell);
+
+  [[noreturn]] void fail(const std::string& why) const;
+
+ private:
+  static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+
+  /// Consumes text_[pos_, to) plus one '\n' when it follows.
+  void advance(std::size_t to);
+  /// `*v`, or a rejection of `cell` as a malformed `what`.
+  template <typename T>
+  T checked(std::optional<T> v, const char* what, std::string_view cell) const;
+
+  std::string_view text_;
+  const char* decoder_;
+  std::size_t pos_ = 0;
+  /// '\n' bytes at or after pos_; counted on the first count() call only.
+  std::size_t newlines_left_ = kUnknown;
 };
 
 }  // namespace hpf90d::support

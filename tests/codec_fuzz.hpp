@@ -1,7 +1,9 @@
-// codec_fuzz.hpp — the seeded mutation fuzz shared by the report-decoder
-// tests (RunReport in test_api, StudyResult in test_study). libFuzzer comes
-// with clang and the suite also builds with g++, so each decoder gets a
-// deterministic ctest instead: mutated encodings must be rejected with
+// codec_fuzz.hpp — the seeded mutation fuzz shared by every decoder test:
+// the report codecs (RunReport in test_api, StudyResult in test_study), the
+// service payloads (plan, study, outcome, stats in test_serve) and the
+// spill formats (layout, recipe in test_directives_mapping). libFuzzer
+// comes with clang and the suite also builds with g++, so each decoder gets
+// a deterministic ctest instead: mutated encodings must be rejected with
 // std::invalid_argument or decode to a value that re-encodes to a fixpoint.
 #pragma once
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "compiler/mapping.hpp"
+#include "compiler/serialize.hpp"
 #include "hpf/directives.hpp"
 #include "hpf/parser.hpp"
 #include "hpf/sema.hpp"
 #include "support/diagnostics.hpp"
+#include "codec_fixtures.hpp"
+#include "codec_fuzz.hpp"
 
 namespace hpf90d {
 namespace {
@@ -278,6 +281,13 @@ TEST(DataLayout, SerializeRoundTripsExactly) {
   EXPECT_EQ(back.ownership_picture(u, 4, 4), layout.ownership_picture(u, 4, 4));
 }
 
+/// `text` with the first `from` replaced by `to` (which must be present).
+std::string replaced(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
 TEST(DataLayout, DeserializeRejectsMalformedText) {
   EXPECT_THROW((void)compiler::deserialize_layout(""), std::invalid_argument);
   EXPECT_THROW((void)compiler::deserialize_layout("layout 99\n"), std::invalid_argument);
@@ -288,6 +298,71 @@ TEST(DataLayout, DeserializeRejectsMalformedText) {
   const std::string good = compiler::serialize_layout(layout);
   EXPECT_THROW((void)compiler::deserialize_layout(good.substr(0, good.size() / 2)),
                std::invalid_argument);
+  // values no DataLayout can hold: each would reach a division by zero, an
+  // index past the grid or a terabyte reserve if it were accepted
+  const std::string dim = "dim\t0\t0\t2\t16\t0\t16\t8\n";
+  ASSERT_NE(good.find(dim), std::string::npos);
+  for (const std::string& bad :
+       {replaced(good, dim, "dim\t0\t0\t2\t16\t0\t16\t0\n"),    // BLOCK size 0
+        replaced(good, dim, "dim\t3\t0\t2\t16\t0\t16\t8\n"),    // no such DistKind
+        replaced(good, dim, "dim\t0\t2\t2\t16\t0\t16\t8\n"),    // grid_dim past the rank
+        replaced(good, dim, "dim\t0\t-1\t2\t16\t0\t16\t8\n"),   // distributed, no grid_dim
+        replaced(good, dim, "dim\t2\t0\t1\t16\t0\t16\t0\n"),    // collapsed with a grid_dim
+        replaced(good, dim, "dim\t0\t0\t0\t16\t0\t16\t8\n"),    // nprocs 0
+        replaced(good, dim, "dim\t0\t0\t3\t16\t0\t16\t8\n"),    // nprocs not the grid's
+        replaced(good, "grid\t2\t2\t2", "grid\t2\t2\t0"),        // grid extent 0
+        replaced(good, "grid\t2\t2\t2", "grid\t2\t65536\t65536"),  // 2^32 processors
+        replaced(good, "\tu\t0\t2\n", "\tu\t0\t9999999999\n"),  // dims count
+        replaced(good, "map\t1\t", "map\t-1\t"),                   // negative symbol
+        replaced(good, "map\t1\t", "map\t2\t"),                    // symbol without extents
+        replaced(good, "\tu\t0\t2\n", "\tu\t7\t2\n"),          // no such template
+        replaced(good, "templates\t1", "templates\t-1"),              // negative count
+        replaced(good, "env\t1\nn\t16", "env\t1\nn\t0.5abc"),     // junk number
+        good + "trailing"}) {
+    EXPECT_THROW((void)compiler::deserialize_layout(bad), std::invalid_argument) << bad;
+  }
+  // the recipe beside it in the spill reads through the same strict cells
+  const std::string recipe = compiler::serialize_recipe("src", {"o"}, {true, 0.5});
+  ASSERT_NO_THROW((void)compiler::deserialize_recipe(recipe));
+  for (const std::string& bad :
+       {replaced(recipe, "options\t1\t", "options\t1x\t"),
+        replaced(recipe, "\t0.5\n", "\t0.5abc\n"),
+        replaced(recipe, "source\t3", "source\t-1"),
+        replaced(recipe, "source\t3", "source\t18446744073709551615"),
+        replaced(recipe, "overrides\t1", "overrides\t9999999999"), recipe + "x",
+        recipe.substr(0, recipe.size() - 2)}) {
+    EXPECT_THROW((void)compiler::deserialize_recipe(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(DataLayout, DeserializeLayoutFuzzRejectsOrReachesAFixpoint) {
+  auto f = make_fixture(kLaplaceSrc);
+  compiler::LayoutOptions opts;
+  opts.nprocs = 4;
+  compiler::DataLayout layout(f.directives, f.symbols, {}, opts);
+  codec_fuzz::fuzz_decoder(
+      {compiler::serialize_layout(layout),
+       compiler::serialize_layout(codec_fixtures::edge_layout())},
+      compiler::deserialize_layout,
+      [](const compiler::DataLayout& l) {
+        // an accepted layout must also answer ownership queries without
+        // faulting, for every mapped symbol
+        for (const auto& m : l.maps()) (void)l.ownership_picture(m.symbol, 3, 3);
+        return compiler::serialize_layout(l);
+      },
+      0x1a70);
+}
+
+TEST(DataLayout, DeserializeRecipeFuzzRejectsOrReachesAFixpoint) {
+  const auto encode = [](const compiler::ParsedRecipe& r) {
+    return compiler::serialize_recipe(r.source, r.overrides, r.options);
+  };
+  compiler::CompilerOptions options;
+  options.message_vectorization = false;
+  options.default_mask_probability = 4.9406564584124654e-324;
+  codec_fuzz::fuzz_decoder({compiler::serialize_recipe(kLaplaceSrc, {"distribute d(block,*)"}, {}),
+                            compiler::serialize_recipe("x\ny", {"", "a\tb"}, options)},
+                           compiler::deserialize_recipe, encode, 0x4ec1);
 }
 
 }  // namespace

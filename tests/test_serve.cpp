@@ -28,6 +28,8 @@
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "study/study_plan.hpp"
+#include "codec_fixtures.hpp"
+#include "codec_fuzz.hpp"
 
 namespace hpf90d {
 namespace {
@@ -185,6 +187,7 @@ TEST(PlanCodec, PlanRoundTripIsAFixpoint) {
   front::Bindings b;
   b.set_int("n", 128);
   b.set("mask__prob", 0.375);
+  b.set("tiny", 4.9406564584124654e-324);  // subnormal: the writer emits it, so must the reader
   plan.add_problem("n=128, tricky", b);
   sim::SimOptions so;
   so.seed = 0xdeadbeef12345678ULL;
@@ -203,6 +206,7 @@ TEST(PlanCodec, PlanRoundTripIsAFixpoint) {
   ASSERT_EQ(decoded.problems().size(), 1u);
   EXPECT_EQ(decoded.problems()[0].name, "n=128, tricky");
   EXPECT_EQ(decoded.problems()[0].bindings.get("mask__prob"), 0.375);
+  EXPECT_EQ(decoded.problems()[0].bindings.get("tiny"), 4.9406564584124654e-324);
   EXPECT_EQ(decoded.sim_opts().seed, so.seed);
   EXPECT_FALSE(decoded.sim_opts().noise);
   EXPECT_EQ(decoded.measure_runs(), 5);
@@ -233,7 +237,7 @@ TEST(PlanCodec, StudyRoundTripIsAFixpoint) {
   plan.source(kLaplace)
       .base_machine("fattree")
       .knob_axis(study::Knob::Latency, {0.25, 1.0, 4.0})
-      .knob_axis(study::Knob::Cpu, {0.5, 2.0})
+      .knob_axis(study::Knob::Cpu, {0.5, 2.0, 4.9406564584124654e-324})
       .add_reference_machine("ipsc860")
       .nprocs({1, 2, 4})
       .runs(0);
@@ -242,7 +246,8 @@ TEST(PlanCodec, StudyRoundTripIsAFixpoint) {
   EXPECT_EQ(serve::encode_study(decoded), once);
   EXPECT_EQ(decoded.base(), "fattree");
   ASSERT_EQ(decoded.family().axes().size(), 2u);
-  EXPECT_EQ(decoded.family().axes()[1].values, (std::vector<double>{0.5, 2.0}));
+  EXPECT_EQ(decoded.family().axes()[1].values,
+            (std::vector<double>{0.5, 2.0, 4.9406564584124654e-324}));
   EXPECT_EQ(decoded.reference_machines(), (std::vector<std::string>{"ipsc860"}));
   EXPECT_EQ(decoded.inner().measure_runs(), 0);
 }
@@ -380,6 +385,49 @@ TEST(PlanCodec, StatsV4LinesRejectMalformedFields) {
   EXPECT_THROW(
       (void)serve::decode_stats(mutate_line("\nspilldir ", "\nqueue2 1 2")),
       serve::CodecError);
+  // a counter is unsigned: "-1" must not wrap to 18446744073709551615
+  EXPECT_THROW((void)serve::decode_stats(mutate_line("\njobs ", "\njobs -1 0 0 0")),
+               serve::CodecError);
+}
+
+TEST(PlanCodec, EncodersMatchTheCommittedFixturesByteForByte) {
+  for (const auto& [name, bytes] : codec_fixtures::encodings()) {
+    std::ifstream in(std::string(HPF90D_FIXTURE_DIR) + "/codec/" + name, std::ios::binary);
+    ASSERT_TRUE(in) << name;
+    const std::string want{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_EQ(bytes, want) << name;
+  }
+}
+
+TEST(PlanCodec, DecodePlanFuzzRejectsOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder(
+      {serve::encode_plan(codec_fixtures::edge_plan()),
+       serve::encode_plan(codec_fixtures::scaled_plan()), serve::encode_plan(small_plan())},
+      serve::decode_plan, [](const api::ExperimentPlan& p) { return serve::encode_plan(p); },
+      0x9a11);
+}
+
+TEST(PlanCodec, DecodeStudyFuzzRejectsOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder({serve::encode_study(codec_fixtures::edge_study())},
+                           serve::decode_study,
+                           [](const study::StudyPlan& p) { return serve::encode_study(p); },
+                           0x57d1);
+}
+
+TEST(PlanCodec, DecodeOutcomeFuzzRejectsOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder({serve::encode_outcome(codec_fixtures::edge_outcome()),
+                            serve::encode_outcome(serve::JobOutcome{})},
+                           serve::decode_outcome,
+                           [](const serve::JobOutcome& o) { return serve::encode_outcome(o); },
+                           0x0c0e);
+}
+
+TEST(PlanCodec, DecodeStatsFuzzRejectsOrReachesAFixpoint) {
+  codec_fuzz::fuzz_decoder({serve::encode_stats(codec_fixtures::edge_stats()),
+                            serve::encode_stats(serve::ServerStats{})},
+                           serve::decode_stats,
+                           [](const serve::ServerStats& s) { return serve::encode_stats(s); },
+                           0x5a75);
 }
 
 // --- job queue ----------------------------------------------------------------

@@ -665,14 +665,12 @@ study::StudyDiff diff(const study::StudyResult& before_s, const study::StudyResu
     if (after_keys.count(key(x)) == 0) out.lost.push_back(x);
   }
   const Index after_ix(after_s.report);
-  std::size_t matched = 0;
   for (const auto& r : before_s.report.records) {
     const api::RunRecord* c = after_ix.find(r.machine, r.variant, r.problem, r.nprocs);
     if (c == nullptr) {
       ++out.only_in_before;
       continue;
     }
-    ++matched;
     const double a = r.comparison.estimated;
     const double b = c->comparison.estimated;
     const double rel = a != 0.0 ? (b - a) / a : 0.0;
@@ -682,7 +680,12 @@ study::StudyDiff diff(const study::StudyResult& before_s, const study::StudyResu
           study::PointDelta{r.machine, r.variant, r.problem, r.nprocs, a, b, rel});
     }
   }
-  out.only_in_after = after_s.report.records.size() - matched;
+  const Index before_ix(before_s.report);
+  for (const auto& r : after_s.report.records) {
+    if (before_ix.find(r.machine, r.variant, r.problem, r.nprocs) == nullptr) {
+      ++out.only_in_after;
+    }
+  }
   return out;
 }
 
@@ -836,6 +839,20 @@ TEST(StudyResultOracle, FirstRecordWinsOnDuplicateKeys) {
   const auto curves = s.scalability();
   ASSERT_EQ(curves.size(), 2u);
   EXPECT_EQ(curves[1].points.back().estimated, 0.5);
+
+  // a baseline {r, r} against a candidate {r}, and the reverse: every
+  // record has a partner, so neither side has unmatched points
+  study::StudyResult twice, once;
+  twice.report.records = {late, late};
+  once.report.records = {late};
+  for (const auto& [a, b] : {std::pair{&twice, &once}, std::pair{&once, &twice}}) {
+    const study::StudyDiff got = a->diff(*b);
+    const study::StudyDiff want = reference::diff(*a, *b, 0.05);
+    EXPECT_EQ(got.only_in_before, 0u);
+    EXPECT_EQ(got.only_in_after, 0u);
+    EXPECT_EQ(want.only_in_before, got.only_in_before);
+    EXPECT_EQ(want.only_in_after, got.only_in_after);
+  }
 }
 
 // --- codec round trips and strictness ------------------------------------------
