@@ -42,6 +42,39 @@ TypeBase promote(TypeBase a, TypeBase b) {
 
 bool is_numeric(TypeBase t) { return t != TypeBase::Logical; }
 
+bool mentions_symbol(const Expr& e, int symbol) {
+  if (e.kind == ExprKind::Var && e.symbol == symbol) return true;
+  for (const auto& a : e.args) {
+    if (mentions_symbol(*a, symbol)) return true;
+  }
+  for (const auto& s : e.subs) {
+    for (const Expr* part : {s.scalar.get(), s.lo.get(), s.hi.get(), s.stride.get()}) {
+      if (part != nullptr && mentions_symbol(*part, symbol)) return true;
+    }
+  }
+  return false;
+}
+
+/// A FORALL assigns one element per index tuple, so every index must reach
+/// the left-hand side's subscripts; otherwise many tuples store to the same
+/// element (or, for an unsubscripted array, to no element at all).
+void check_forall_targets(const Stmt& forall, const std::vector<StmtPtr>& body) {
+  for (const auto& s : body) {
+    if (s->kind == StmtKind::Where) {
+      check_forall_targets(forall, s->body);
+      check_forall_targets(forall, s->else_body);
+      continue;
+    }
+    if (s->kind != StmtKind::Assign) continue;
+    for (const auto& idx : forall.forall_indices) {
+      if (s->lhs->kind != ExprKind::ArrayRef || !mentions_symbol(*s->lhs, idx.symbol)) {
+        throw CompileError(s->loc, "forall assignment to '" + s->lhs->name +
+                                       "' does not use the forall index '" + idx.name + "'");
+      }
+    }
+  }
+}
+
 class Analyzer {
  public:
   explicit Analyzer(Program& prog) : prog_(prog) {}
@@ -161,6 +194,7 @@ class Analyzer {
           }
           analyze_stmt(*s);
         }
+        check_forall_targets(stmt, stmt.body);
         break;
       }
       case StmtKind::Where: {

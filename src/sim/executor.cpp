@@ -37,7 +37,6 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   }
   layout_ = &layout;
   machine_ = &machine;
-  bindings_ = &bindings;
   options_ = options;
   nprocs_ = layout.nprocs();
   env_.reset(prog.symbols.size());
@@ -46,44 +45,14 @@ void Executor::rebind(const compiler::CompiledProgram& prog,
   comm_model_ = machine::CommModel(machine.node().comm);
   network_.emplace(nprocs_, layout.grid().shape, machine.node().comm,
                    SimNetworkOptions{options.contention});
-  noise_ = NoiseModel(options.seed, options.noise);
   clock_.assign(static_cast<std::size_t>(nprocs_), 0.0);
   metrics_.assign(static_cast<std::size_t>(prog.node_count), NodeMetric{});
-  // Capacity-preserving reset: run_into recycles the previous result's
-  // buffers through this arena, so clearing (not reassigning) keeps the
-  // steady state allocation-free.
-  result_.total = result_.comp = result_.comm = result_.overhead = 0;
-  result_.proc_clock.clear();
-  result_.per_node.clear();
-  result_.printed.clear();
-  result_.scalars.clear();
+  // Capacity-preserving resets, so a steady-state rebind allocates nothing.
+  recorded_ = false;
+  tape_.clear();
+  printed_.clear();
+  scalars_.clear();
   compiler::seed_environment(env_, prog_->symbols, bindings);
-  for (int p = 0; p < nprocs_; ++p) {
-    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
-  }
-}
-
-void Executor::rebind_run(std::uint64_t seed) {
-  // Mirrors the run-variant tail of rebind(), in the same order. The pieces
-  // skipped (node-op tables, cost_/comm_model_/network_ construction,
-  // storage_.rebind) are pure functions of the configuration — network_
-  // only needs its occupancy cleared, storage only its written arrays
-  // (ensure() recreates the deterministic fill bit-identically).
-  options_.seed = seed;
-  env_.reset(prog_->symbols.size());
-  storage_.reset_written();
-  network_->reset();
-  noise_ = NoiseModel(seed, options_.noise);
-  metrics_.assign(static_cast<std::size_t>(prog_->node_count), NodeMetric{});
-  result_.total = result_.comp = result_.comm = result_.overhead = 0;
-  result_.proc_clock.clear();
-  result_.per_node.clear();
-  result_.printed.clear();
-  result_.scalars.clear();
-  compiler::seed_environment(env_, prog_->symbols, *bindings_);
-  for (int p = 0; p < nprocs_; ++p) {
-    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
-  }
 }
 
 SimResult Executor::run() {
@@ -92,60 +61,65 @@ SimResult Executor::run() {
   return out;
 }
 
-void Executor::run_into(SimResult& out) {
-  exec_seq(prog_->root->children);
+void Executor::run_into(SimResult& out) { replay_into(options_.seed, out); }
 
-  result_.total = *std::max_element(clock_.begin(), clock_.end());
-  result_.proc_clock = clock_;
-  result_.per_node = metrics_;
-  for (auto& m : result_.per_node) {
+void Executor::replay_into(std::uint64_t seed, SimResult& out) {
+  if (!recorded_) {
+    record();
+    recorded_ = true;
+  }
+  replay(seed);
+
+  out.total = *std::max_element(clock_.begin(), clock_.end());
+  out.proc_clock = clock_;
+  out.per_node = metrics_;
+  out.comp = out.comm = out.overhead = 0;
+  for (auto& m : out.per_node) {
     m.comp /= nprocs_;
     m.comm /= nprocs_;
     m.overhead /= nprocs_;
   }
-  for (const auto& m : result_.per_node) {
-    result_.comp += m.comp;
-    result_.comm += m.comm;
-    result_.overhead += m.overhead;
+  for (const auto& m : out.per_node) {
+    out.comp += m.comp;
+    out.comm += m.comm;
+    out.overhead += m.overhead;
   }
+  out.printed = printed_;
+  out.scalars = scalars_;
+}
+
+// ---------------------------------------------------------------------------
+// value pass
+// ---------------------------------------------------------------------------
+
+void Executor::record() {
+  exec_seq(prog_->root->children);
   for (const auto& sym : prog_->symbols.symbols()) {
     if (sym.kind == front::SymbolKind::Scalar ||
         sym.kind == front::SymbolKind::Param) {
       const int id = prog_->symbols.find(sym.name);
-      if (env_.is_defined(id)) result_.scalars[sym.name] = env_.value(id);
+      if (env_.is_defined(id)) scalars_[sym.name] = env_.value(id);
     }
   }
-  // Hand the result over and adopt the caller's old buffers as the next
-  // rebind's scratch (rebind clears them capacity-preservingly).
-  std::swap(out, result_);
 }
 
-// ---------------------------------------------------------------------------
-// attribution helpers
-// ---------------------------------------------------------------------------
-
-void Executor::charge_comp(int node_id, int proc, double t) {
-  clock_[static_cast<std::size_t>(proc)] += t;
-  metric(node_id).comp += t;
-}
-void Executor::charge_comm(int node_id, int proc, double t) {
-  clock_[static_cast<std::size_t>(proc)] += t;
-  metric(node_id).comm += t;
-}
-void Executor::charge_overhead(int node_id, int proc, double t) {
-  clock_[static_cast<std::size_t>(proc)] += t;
-  metric(node_id).overhead += t;
-}
-void Executor::charge_all_comp(int node_id, double t) {
-  for (int p = 0; p < nprocs_; ++p) charge_comp(node_id, p, t);
-}
-void Executor::charge_all_overhead(int node_id, double t) {
-  for (int p = 0; p < nprocs_; ++p) charge_overhead(node_id, p, t);
+void Executor::add_event(TimingTape::Kind kind, int node_id, double t, long long bytes) {
+  const bool messages =
+      kind == TimingTape::Kind::HaloExchange || kind == TimingTape::Kind::ShiftExchange;
+  const auto first =
+      static_cast<std::uint32_t>(messages ? tape_.messages.size() : tape_.procs.size());
+  tape_.events.push_back(TimingTape::Event{kind, node_id, t, bytes, first, 0});
 }
 
-// ---------------------------------------------------------------------------
-// control flow
-// ---------------------------------------------------------------------------
+void Executor::add_proc_time(int proc, double a, double b) {
+  tape_.procs.push_back(TimingTape::ProcTime{proc, a, b});
+  ++tape_.events.back().count;
+}
+
+void Executor::add_message(int from, int to, long long bytes, double pack, double recv) {
+  tape_.messages.push_back(TimingTape::Message{from, to, bytes, pack, recv});
+  ++tape_.events.back().count;
+}
 
 void Executor::exec_seq(const std::vector<compiler::SpmdNodePtr>& nodes) {
   for (const auto& n : nodes) exec(*n);
@@ -175,11 +149,9 @@ void Executor::exec_scalar_assign(const SpmdNode& n) {
   double stored = v;
   if (n.lhs->type == front::TypeBase::Integer) stored = std::trunc(v);
   env_.define(n.lhs->symbol, stored);
-  const double t = cost_->scalar_cost(body_ops(n)) + machine_->node().proc.t_store;
   // replicated computation: every node executes the same statement
-  for (int p = 0; p < nprocs_; ++p) {
-    charge_comp(n.id, p, t * noise_.compute_factor());
-  }
+  add_event(TimingTape::Kind::ScalarComp, n.id,
+            cost_->scalar_cost(body_ops(n)) + machine_->node().proc.t_store);
 }
 
 void Executor::exec_do(const SpmdNode& n) {
@@ -188,10 +160,10 @@ void Executor::exec_do(const SpmdNode& n) {
   const long long step =
       n.do_step ? compiler::eval_int(*n.do_step, env_, &storage_, prog_->symbols) : 1;
   if (step == 0) throw CompileError(n.loc, "do loop step is zero");
-  charge_all_overhead(n.id, machine_->node().proc.loop_setup);
+  add_event(TimingTape::Kind::AllOverhead, n.id, machine_->node().proc.loop_setup);
   for (long long v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
     env_.define(n.do_symbol, static_cast<double>(v));
-    charge_all_overhead(n.id, machine_->node().proc.loop_overhead);
+    add_event(TimingTape::Kind::AllOverhead, n.id, machine_->node().proc.loop_overhead);
     exec_seq(n.children);
   }
 }
@@ -200,8 +172,8 @@ void Executor::exec_while(const SpmdNode& n) {
   long long trips = 0;
   while (true) {
     const double c = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols);
-    charge_all_overhead(n.id, machine_->node().proc.branch_overhead +
-                                  cost_->scalar_cost(cond_ops(n)));
+    add_event(TimingTape::Kind::AllOverhead, n.id,
+              machine_->node().proc.branch_overhead + cost_->scalar_cost(cond_ops(n)));
     if (c == 0.0) break;
     if (++trips > options_.max_while_trips) {
       throw CompileError(n.loc, "do while exceeded the simulation trip limit");
@@ -212,7 +184,7 @@ void Executor::exec_while(const SpmdNode& n) {
 
 void Executor::exec_if(const SpmdNode& n) {
   const double c = compiler::eval_scalar(*n.mask, env_, &storage_, prog_->symbols);
-  charge_all_overhead(n.id, machine_->node().proc.branch_overhead);
+  add_event(TimingTape::Kind::AllOverhead, n.id, machine_->node().proc.branch_overhead);
   if (c != 0.0) {
     exec_seq(n.children);
   } else {
@@ -225,7 +197,7 @@ void Executor::exec_hostio(const SpmdNode& n) {
   for (const auto& arg : n.io_args) {
     if (arg->rank == 0) {
       const double v = compiler::eval_scalar(*arg, env_, &storage_, prog_->symbols);
-      result_.printed[arg->str()] = v;
+      printed_[arg->str()] = v;
       bytes += 16;
     } else {
       bytes += storage_.total_elements(arg->symbol) *
@@ -233,7 +205,8 @@ void Executor::exec_hostio(const SpmdNode& n) {
     }
   }
   const auto& io = machine_->node().io;
-  charge_comm(n.id, 0, io.host_latency + io.host_per_byte * static_cast<double>(bytes));
+  add_event(TimingTape::Kind::HostComm, n.id,
+            io.host_latency + io.host_per_byte * static_cast<double>(bytes));
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +434,7 @@ void Executor::exec_local_loop(const SpmdNode& n) {
   const auto& p = machine_->node().proc;
 
   const long long total_pts = space.points();
+  add_event(TimingTape::Kind::LoopComp, n.id);
   for (int proc = 0; proc < nprocs_; ++proc) {
     const long long it = replicated ? total_pts : iters[static_cast<std::size_t>(proc)];
     if (it == 0) continue;
@@ -474,10 +448,8 @@ void Executor::exec_local_loop(const SpmdNode& n) {
       per_iter = body.setup + static_cast<double>(m) * (body.per_iteration + body.per_iter_overhead) +
                  p.t_store;
     }
-    const double comp_t = static_cast<double>(it) * per_iter * noise_.compute_factor();
-    const double ovhd_t = body.setup + static_cast<double>(it) * body.per_iter_overhead;
-    charge_comp(n.id, proc, comp_t);
-    charge_overhead(n.id, proc, ovhd_t);
+    add_proc_time(proc, static_cast<double>(it) * per_iter,
+                  body.setup + static_cast<double>(it) * body.per_iter_overhead);
   }
 }
 
@@ -542,13 +514,12 @@ void Executor::exec_reduce(const SpmdNode& n) {
   const long long ws = working_set_bytes(*n.reduce_arg, n.reduce_arg.get(), space);
   const LoopBodyCost body = cost_->body_cost(ops, accesses, ws);
   const long long total_pts = std::max<long long>(space.points(), 0);
+  add_event(TimingTape::Kind::LoopComp, n.id);
   for (int proc = 0; proc < nprocs_; ++proc) {
     const long long it = replicated ? total_pts : iters[static_cast<std::size_t>(proc)];
     if (it == 0) continue;
-    charge_comp(n.id, proc,
-                static_cast<double>(it) * body.per_iteration * noise_.compute_factor());
-    charge_overhead(n.id, proc,
-                    body.setup + static_cast<double>(it) * body.per_iter_overhead);
+    add_proc_time(proc, static_cast<double>(it) * body.per_iteration,
+                  body.setup + static_cast<double>(it) * body.per_iter_overhead);
   }
 
   // --- combine across the cube ------------------------------------------------
@@ -556,7 +527,267 @@ void Executor::exec_reduce(const SpmdNode& n) {
     const int elem = n.reduce_op == "maxloc" ? 12 : 8;  // value (+ index)
     const double op_t = machine_->node().proc.t_fadd +
                         machine_->node().comm.coll_stage_setup;
-    collective_stages(n.id, elem, op_t);
+    add_event(TimingTape::Kind::Collective, n.id, op_t, elem);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// communication nodes
+// ---------------------------------------------------------------------------
+
+void Executor::exec_overlap(const SpmdNode& n) {
+  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
+  if (map == nullptr) return;
+  const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
+  if (dd.grid_dim < 0 || dd.nprocs <= 1) return;  // dimension is serial here
+
+  // A re-issued exchange of unchanged data finds last iteration's message
+  // already buffered at the receiver: in steady state only packing and wire
+  // occupancy remain (message queues absorb the latency).
+  if (n.comm_src_invariant && metric(n.id).visits > 1) {
+    const int elem_sz = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+    const bool strided_slab = n.comm_dim != 0;
+    const long long width_s = std::min<long long>(std::llabs(n.comm_offset),
+                                                  std::max<long long>(dd.block, 1));
+    add_event(TimingTape::Kind::SteadyComm, n.id);
+    for (int p = 0; p < nprocs_; ++p) {
+      const std::span<const int> coords = layout_->proc_coords(p);
+      const int k = coords[static_cast<std::size_t>(dd.grid_dim)];
+      const int dir0 = n.comm_offset > 0 ? +1 : -1;
+      const bool has_partner = dir0 > 0 ? k + 1 < dd.nprocs : k > 0;
+      if (!has_partner) continue;
+      long long perp = 1;
+      for (std::size_t j = 0; j < map->dims.size(); ++j) {
+        if (static_cast<int>(j) == n.comm_dim) continue;
+        const auto& od = map->dims[j];
+        const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
+        perp *= od.local_count(c);
+      }
+      const long long bytes = perp * width_s * elem_sz;
+      add_proc_time(p, 2.0 * comm_model_.pack(bytes, strided_slab) +
+                           machine_->node().comm.per_byte * static_cast<double>(bytes));
+    }
+    return;
+  }
+
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+  const bool strided = n.comm_dim != 0;  // row-major: outermost dim slabs are contiguous
+  const int dir = n.comm_offset > 0 ? +1 : -1;
+
+  auto slab_elements = [&](int proc) -> long long {
+    const std::span<const int> coords = layout_->proc_coords(proc);
+    long long perp = 1;
+    for (std::size_t j = 0; j < map->dims.size(); ++j) {
+      if (static_cast<int>(j) == n.comm_dim) continue;
+      const auto& od = map->dims[j];
+      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
+      perp *= od.local_count(c);
+    }
+    const int cc = coords[static_cast<std::size_t>(dd.grid_dim)];
+    const long long width =
+        dd.kind == front::DistKind::Cyclic
+            ? dd.local_count(cc)
+            : std::min<long long>(std::llabs(n.comm_offset),
+                                  std::max<long long>(dd.block, 1));
+    return perp * width;
+  };
+
+  // sender q (coord k) sends to receiver p (coord k-dir): receiver needs
+  // elements offset `dir` beyond its boundary
+  add_event(TimingTape::Kind::HaloExchange, n.id);
+  for (int q = 0; q < nprocs_; ++q) {
+    const std::span<const int> qc = layout_->proc_coords(q);
+    const int kr = qc[static_cast<std::size_t>(dd.grid_dim)] - dir;
+    if (kr < 0 || kr >= dd.nprocs) continue;
+    const long long bytes = slab_elements(q) * elem;
+    if (bytes == 0) continue;
+    std::vector<int>& coords = coords_scratch_;
+    coords.assign(qc.begin(), qc.end());
+    coords[static_cast<std::size_t>(dd.grid_dim)] = kr;
+    const double pack = comm_model_.pack(bytes, strided);
+    add_message(q, layout_->grid().linear(coords), bytes, pack, pack);
+  }
+}
+
+void Executor::exec_cshift(const SpmdNode& n) {
+  const long long shift =
+      compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
+  storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
+  if (shift == 0) return;
+
+  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+  const auto& mem = machine_->node().mem;
+
+  if (map == nullptr || map->dims[static_cast<std::size_t>(n.comm_dim)].grid_dim < 0 ||
+      map->dims[static_cast<std::size_t>(n.comm_dim)].nprocs <= 1) {
+    // serial dimension: local circular copy only
+    const long long total = storage_.total_elements(n.comm_array) /
+                            std::max(1LL, static_cast<long long>(nprocs_));
+    add_event(TimingTape::Kind::AllComm, n.id,
+              static_cast<double>(total * elem) / mem.mem_bandwidth);
+    return;
+  }
+
+  const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
+  const bool strided = n.comm_dim != 0;
+  const long long w = std::min<long long>(std::llabs(shift), dd.block);
+  const int dir = shift > 0 ? +1 : -1;
+
+  // per-proc slab: perp elements across the shifted dimension
+  auto perp_of = [&](std::span<const int> coords) {
+    long long perp = 1;
+    for (std::size_t j = 0; j < map->dims.size(); ++j) {
+      if (static_cast<int>(j) == n.comm_dim) continue;
+      const auto& od = map->dims[j];
+      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
+      perp *= od.local_count(c);
+    }
+    return perp;
+  };
+  add_event(TimingTape::Kind::ShiftExchange, n.id);
+  for (int q = 0; q < nprocs_; ++q) {
+    const std::span<const int> qc = layout_->proc_coords(q);
+    const long long bytes = perp_of(qc) * w * elem;
+    if (bytes == 0) continue;
+    // circular: wrap at the grid edges
+    std::vector<int>& coords = coords_scratch_;
+    coords.assign(qc.begin(), qc.end());
+    int& k = coords[static_cast<std::size_t>(dd.grid_dim)];
+    k = (k - dir % dd.nprocs + dd.nprocs) % dd.nprocs;
+    const int p = layout_->grid().linear(coords);
+    const std::span<const int> pc = layout_->proc_coords(p);
+    const long long own = dd.local_count(pc[static_cast<std::size_t>(dd.grid_dim)]);
+    const long long local_bytes = perp_of(pc) * std::max<long long>(own - w, 0) * elem;
+    add_message(q, p, bytes, comm_model_.pack(bytes, strided),
+                static_cast<double>(local_bytes) / mem.mem_bandwidth);
+  }
+}
+
+void Executor::exec_irregular(const SpmdNode& n) {
+  if (nprocs_ <= 1) return;
+  const ResolvedSpace space = resolve_space(n.space);
+  const long long total = std::max<long long>(space.points(), 0);
+  if (total == 0) return;
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+  const auto& comm = machine_->node().comm;
+
+  // per-processor share (block partition of the iteration space)
+  const long long share = (total + nprocs_ - 1) / nprocs_;
+  const long long remote = share * (nprocs_ - 1) / nprocs_;
+  const long long per_partner = std::max<long long>(1, remote / (nprocs_ - 1));
+
+  // index translation + pack, then staged pairwise exchange rounds
+  add_event(TimingTape::Kind::AllComm, n.id,
+            comm.per_element_index * static_cast<double>(share) +
+                comm_model_.pack(remote * elem, true));
+  add_event(TimingTape::Kind::Irregular, n.id, 0, per_partner * elem);
+}
+
+void Executor::exec_slice_bcast(const SpmdNode& n) {
+  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
+  if (map == nullptr || nprocs_ <= 1) return;
+  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
+  const long long total = storage_.total_elements(n.comm_array);
+  const long long dim_extent = map->dims[static_cast<std::size_t>(n.comm_dim)].extent;
+  const long long slice = total / std::max<long long>(dim_extent, 1);
+  add_event(TimingTape::Kind::Collective, n.id, machine_->node().comm.coll_stage_setup,
+            slice * elem);
+}
+
+// ---------------------------------------------------------------------------
+// timing replay
+// ---------------------------------------------------------------------------
+
+void Executor::charge_comp(int node_id, int proc, double t) {
+  clock_[static_cast<std::size_t>(proc)] += t;
+  metric(node_id).comp += t;
+}
+void Executor::charge_comm(int node_id, int proc, double t) {
+  clock_[static_cast<std::size_t>(proc)] += t;
+  metric(node_id).comm += t;
+}
+void Executor::charge_overhead(int node_id, int proc, double t) {
+  clock_[static_cast<std::size_t>(proc)] += t;
+  metric(node_id).overhead += t;
+}
+
+void Executor::replay(std::uint64_t seed) {
+  network_->reset();
+  noise_ = NoiseModel(seed, options_.noise);
+  for (int p = 0; p < nprocs_; ++p) {
+    clock_[static_cast<std::size_t>(p)] = noise_.startup_skew();
+  }
+  for (auto& m : metrics_) m.comp = m.comm = m.overhead = 0;
+
+  using Kind = TimingTape::Kind;
+  for (const TimingTape::Event& e : tape_.events) {
+    const auto procs = [&] {
+      return std::span<const TimingTape::ProcTime>(tape_.procs).subspan(e.first, e.count);
+    };
+    switch (e.kind) {
+      case Kind::ScalarComp:
+        for (int p = 0; p < nprocs_; ++p) charge_comp(e.node, p, e.t * noise_.compute_factor());
+        break;
+      case Kind::AllOverhead:
+        for (int p = 0; p < nprocs_; ++p) charge_overhead(e.node, p, e.t);
+        break;
+      case Kind::AllComm:
+        for (int p = 0; p < nprocs_; ++p) charge_comm(e.node, p, e.t);
+        break;
+      case Kind::HostComm: charge_comm(e.node, 0, e.t); break;
+      case Kind::LoopComp:
+        for (const auto& pt : procs()) {
+          charge_comp(e.node, pt.proc, pt.a * noise_.compute_factor());
+          charge_overhead(e.node, pt.proc, pt.b);
+        }
+        break;
+      case Kind::SteadyComm:
+        for (const auto& pt : procs()) charge_comm(e.node, pt.proc, pt.a * noise_.comm_factor());
+        break;
+      case Kind::HaloExchange:
+      case Kind::ShiftExchange: replay_exchange(e); break;
+      case Kind::Irregular: replay_irregular(e.node, e.bytes); break;
+      case Kind::Collective: collective_stages(e.node, e.bytes, e.t); break;
+    }
+  }
+}
+
+void Executor::replay_exchange(const TimingTape::Event& e) {
+  // Departures read the clocks as they stand before the exchange; arrivals
+  // land in a copy, and each proc is charged its difference afterwards.
+  std::vector<double>& new_clock = clock_scratch_;
+  new_clock.assign(clock_.begin(), clock_.end());
+  const bool halo = e.kind == TimingTape::Kind::HaloExchange;
+  for (std::uint32_t i = e.first; i < e.first + e.count; ++i) {
+    const TimingTape::Message& m = tape_.messages[i];
+    const auto q = static_cast<std::size_t>(m.from);
+    const auto p = static_cast<std::size_t>(m.to);
+    const double depart = clock_[q] + m.pack;
+    const double arr = network_->send(m.from, m.to, m.bytes, depart, noise_);
+    new_clock[p] = halo ? std::max(new_clock[p], arr + m.recv)
+                        : std::max(new_clock[p] + m.recv, arr);
+    new_clock[q] = std::max(new_clock[q], depart);
+  }
+  for (int p = 0; p < nprocs_; ++p) {
+    const double dt = new_clock[static_cast<std::size_t>(p)] -
+                      clock_[static_cast<std::size_t>(p)];
+    if (dt > 0) charge_comm(e.node, p, dt);
+  }
+}
+
+void Executor::replay_irregular(int node_id, long long bytes) {
+  std::vector<double>& snapshot = clock_scratch_;
+  for (int r = 1; r < nprocs_; ++r) {
+    snapshot.assign(clock_.begin(), clock_.end());
+    for (int p = 0; p < nprocs_; ++p) {
+      const int q = (p + r) % nprocs_;
+      const double arr =
+          network_->send(p, q, bytes, snapshot[static_cast<std::size_t>(p)], noise_);
+      const double before = clock_[static_cast<std::size_t>(q)];
+      clock_[static_cast<std::size_t>(q)] = std::max(before, arr);
+      metric(node_id).comm += clock_[static_cast<std::size_t>(q)] - before;
+    }
   }
 }
 
@@ -597,223 +828,6 @@ void Executor::collective_stages(int node_id, long long bytes, double per_stage_
       clock_[static_cast<std::size_t>(q)] = end;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// communication nodes
-// ---------------------------------------------------------------------------
-
-void Executor::exec_overlap(const SpmdNode& n) {
-  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
-  if (map == nullptr) return;
-  const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
-  if (dd.grid_dim < 0 || dd.nprocs <= 1) return;  // dimension is serial here
-
-  // A re-issued exchange of unchanged data finds last iteration's message
-  // already buffered at the receiver: in steady state only packing and wire
-  // occupancy remain (message queues absorb the latency).
-  if (n.comm_src_invariant && metric(n.id).visits > 1) {
-    const int elem_sz = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-    const bool strided_slab = n.comm_dim != 0;
-    const long long width_s = std::min<long long>(std::llabs(n.comm_offset),
-                                                  std::max<long long>(dd.block, 1));
-    for (int p = 0; p < nprocs_; ++p) {
-      const std::span<const int> coords = layout_->proc_coords(p);
-      const int k = coords[static_cast<std::size_t>(dd.grid_dim)];
-      const int dir0 = n.comm_offset > 0 ? +1 : -1;
-      const bool has_partner = dir0 > 0 ? k + 1 < dd.nprocs : k > 0;
-      if (!has_partner) continue;
-      long long perp = 1;
-      for (std::size_t j = 0; j < map->dims.size(); ++j) {
-        if (static_cast<int>(j) == n.comm_dim) continue;
-        const auto& od = map->dims[j];
-        const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-        perp *= od.local_count(c);
-      }
-      const long long bytes = perp * width_s * elem_sz;
-      const double t = 2.0 * comm_model_.pack(bytes, strided_slab) +
-                       machine_->node().comm.per_byte * static_cast<double>(bytes);
-      charge_comm(n.id, p, t * noise_.comm_factor());
-    }
-    return;
-  }
-
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const bool strided = n.comm_dim != 0;  // row-major: outermost dim slabs are contiguous
-
-  // snapshot departures, then apply arrivals
-  std::vector<double> depart(static_cast<std::size_t>(nprocs_), -1.0);
-  std::vector<long long> send_bytes(static_cast<std::size_t>(nprocs_), 0);
-  const int dir = n.comm_offset > 0 ? +1 : -1;
-
-  auto slab_elements = [&](int proc) -> long long {
-    const std::span<const int> coords = layout_->proc_coords(proc);
-    long long perp = 1;
-    for (std::size_t j = 0; j < map->dims.size(); ++j) {
-      if (static_cast<int>(j) == n.comm_dim) continue;
-      const auto& od = map->dims[j];
-      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-      perp *= od.local_count(c);
-    }
-    const int cc = coords[static_cast<std::size_t>(dd.grid_dim)];
-    const long long width =
-        dd.kind == front::DistKind::Cyclic
-            ? dd.local_count(cc)
-            : std::min<long long>(std::llabs(n.comm_offset),
-                                  std::max<long long>(dd.block, 1));
-    return perp * width;
-  };
-
-  // sender q (coord k) sends to receiver p (coord k-dir): receiver needs
-  // elements offset `dir` beyond its boundary
-  for (int q = 0; q < nprocs_; ++q) {
-    const std::span<const int> coords = layout_->proc_coords(q);
-    const int k = coords[static_cast<std::size_t>(dd.grid_dim)];
-    const int kr = k - dir;
-    if (kr < 0 || kr >= dd.nprocs) continue;
-    const long long bytes = slab_elements(q) * elem;
-    if (bytes == 0) continue;
-    const double pack = comm_model_.pack(bytes, strided);
-    send_bytes[static_cast<std::size_t>(q)] = bytes;
-    depart[static_cast<std::size_t>(q)] = clock_[static_cast<std::size_t>(q)] + pack;
-  }
-  std::vector<double> new_clock = clock_;
-  for (int q = 0; q < nprocs_; ++q) {
-    if (depart[static_cast<std::size_t>(q)] < 0) continue;
-    const std::span<const int> qc = layout_->proc_coords(q);
-    std::vector<int>& coords = coords_scratch_;
-    coords.assign(qc.begin(), qc.end());
-    coords[static_cast<std::size_t>(dd.grid_dim)] -= dir;
-    const int p = layout_->grid().linear(coords);
-    const double arr = network_->send(q, p, send_bytes[static_cast<std::size_t>(q)],
-                                     depart[static_cast<std::size_t>(q)], noise_);
-    const double unpack =
-        comm_model_.pack(send_bytes[static_cast<std::size_t>(q)], strided);
-    new_clock[static_cast<std::size_t>(p)] =
-        std::max(new_clock[static_cast<std::size_t>(p)], arr + unpack);
-    new_clock[static_cast<std::size_t>(q)] = std::max(
-        new_clock[static_cast<std::size_t>(q)], depart[static_cast<std::size_t>(q)]);
-  }
-  for (int p = 0; p < nprocs_; ++p) {
-    const double dt = new_clock[static_cast<std::size_t>(p)] -
-                      clock_[static_cast<std::size_t>(p)];
-    if (dt > 0) charge_comm(n.id, p, dt);
-  }
-}
-
-void Executor::exec_cshift(const SpmdNode& n) {
-  const long long shift =
-      compiler::eval_int(*n.comm_amount, env_, &storage_, prog_->symbols);
-  storage_.cshift_into(n.comm_temp, n.comm_array, n.comm_dim, shift);
-  if (shift == 0) return;
-
-  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const auto& mem = machine_->node().mem;
-
-  if (map == nullptr || map->dims[static_cast<std::size_t>(n.comm_dim)].grid_dim < 0 ||
-      map->dims[static_cast<std::size_t>(n.comm_dim)].nprocs <= 1) {
-    // serial dimension: local circular copy only
-    const long long total = storage_.total_elements(n.comm_array) /
-                            std::max(1LL, static_cast<long long>(nprocs_));
-    const double t = static_cast<double>(total * elem) / mem.mem_bandwidth;
-    for (int p = 0; p < nprocs_; ++p) charge_comm(n.id, p, t);
-    return;
-  }
-
-  const auto& dd = map->dims[static_cast<std::size_t>(n.comm_dim)];
-  const bool strided = n.comm_dim != 0;
-  const long long w = std::min<long long>(std::llabs(shift), dd.block);
-  const int dir = shift > 0 ? +1 : -1;
-
-  std::vector<double> depart(static_cast<std::size_t>(nprocs_), -1.0);
-  std::vector<long long> msg_bytes(static_cast<std::size_t>(nprocs_), 0);
-  std::vector<long long> local_bytes(static_cast<std::size_t>(nprocs_), 0);
-  for (int q = 0; q < nprocs_; ++q) {
-    const std::span<const int> coords = layout_->proc_coords(q);
-    long long perp = 1;
-    for (std::size_t j = 0; j < map->dims.size(); ++j) {
-      if (static_cast<int>(j) == n.comm_dim) continue;
-      const auto& od = map->dims[j];
-      const int c = od.grid_dim >= 0 ? coords[static_cast<std::size_t>(od.grid_dim)] : 0;
-      perp *= od.local_count(c);
-    }
-    const long long own =
-        dd.local_count(coords[static_cast<std::size_t>(dd.grid_dim)]);
-    msg_bytes[static_cast<std::size_t>(q)] = perp * w * elem;
-    local_bytes[static_cast<std::size_t>(q)] = perp * std::max<long long>(own - w, 0) * elem;
-    depart[static_cast<std::size_t>(q)] =
-        clock_[static_cast<std::size_t>(q)] +
-        comm_model_.pack(msg_bytes[static_cast<std::size_t>(q)], strided);
-  }
-  std::vector<double> new_clock = clock_;
-  for (int q = 0; q < nprocs_; ++q) {
-    if (msg_bytes[static_cast<std::size_t>(q)] == 0) continue;
-    // circular: wrap at the grid edges
-    const std::span<const int> qc = layout_->proc_coords(q);
-    std::vector<int>& coords = coords_scratch_;
-    coords.assign(qc.begin(), qc.end());
-    int& k = coords[static_cast<std::size_t>(dd.grid_dim)];
-    k = (k - dir % dd.nprocs + dd.nprocs) % dd.nprocs;
-    const int p = layout_->grid().linear(coords);
-    const double arr = network_->send(q, p, msg_bytes[static_cast<std::size_t>(q)],
-                                     depart[static_cast<std::size_t>(q)], noise_);
-    const double local_copy =
-        static_cast<double>(local_bytes[static_cast<std::size_t>(p)]) / mem.mem_bandwidth;
-    new_clock[static_cast<std::size_t>(p)] =
-        std::max(new_clock[static_cast<std::size_t>(p)] + local_copy, arr);
-    new_clock[static_cast<std::size_t>(q)] =
-        std::max(new_clock[static_cast<std::size_t>(q)],
-                 depart[static_cast<std::size_t>(q)]);
-  }
-  for (int p = 0; p < nprocs_; ++p) {
-    const double dt =
-        new_clock[static_cast<std::size_t>(p)] - clock_[static_cast<std::size_t>(p)];
-    if (dt > 0) charge_comm(n.id, p, dt);
-  }
-}
-
-void Executor::exec_irregular(const SpmdNode& n) {
-  if (nprocs_ <= 1) return;
-  const ResolvedSpace space = resolve_space(n.space);
-  const long long total = std::max<long long>(space.points(), 0);
-  if (total == 0) return;
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const auto& comm = machine_->node().comm;
-
-  // per-processor share (block partition of the iteration space)
-  const long long share = (total + nprocs_ - 1) / nprocs_;
-  const long long remote = share * (nprocs_ - 1) / nprocs_;
-  const long long per_partner = std::max<long long>(1, remote / (nprocs_ - 1));
-
-  // index translation + pack
-  for (int p = 0; p < nprocs_; ++p) {
-    charge_comm(n.id, p,
-                comm.per_element_index * static_cast<double>(share) +
-                    comm_model_.pack(remote * elem, true));
-  }
-  // staged pairwise exchange rounds
-  for (int r = 1; r < nprocs_; ++r) {
-    std::vector<double> snapshot = clock_;
-    for (int p = 0; p < nprocs_; ++p) {
-      const int q = (p + r) % nprocs_;
-      const double arr = network_->send(p, q, per_partner * elem,
-                                       snapshot[static_cast<std::size_t>(p)], noise_);
-      const double before = clock_[static_cast<std::size_t>(q)];
-      clock_[static_cast<std::size_t>(q)] = std::max(before, arr);
-      metric(n.id).comm += clock_[static_cast<std::size_t>(q)] - before;
-    }
-  }
-}
-
-void Executor::exec_slice_bcast(const SpmdNode& n) {
-  const compiler::ArrayMap* map = layout_->map_for(n.comm_array);
-  if (map == nullptr || nprocs_ <= 1) return;
-  const int elem = front::type_size_bytes(prog_->symbols.at(n.comm_array).type);
-  const long long total = storage_.total_elements(n.comm_array);
-  const long long dim_extent = map->dims[static_cast<std::size_t>(n.comm_dim)].extent;
-  const long long slice = total / std::max<long long>(dim_extent, 1);
-  collective_stages(n.id, slice * elem, machine_->node().comm.coll_stage_setup);
 }
 
 }  // namespace hpf90d::sim

@@ -37,8 +37,8 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
                              const compiler::DataLayout& layout,
                              const SimOptions& options, int runs, Executor& arena,
                              MeasuredResult& out) const {
-  // `res` cycles buffers with the arena via run_into, and with out.detail
-  // via the r == 0 swap, so the steady state allocates nothing per run.
+  // `res` is refilled by every replay and swaps with out.detail on run 0,
+  // so the steady state allocates nothing per run.
   SimResult res;
   measure_into(prog, bindings, layout, options, runs, arena, out, res);
 }
@@ -53,19 +53,12 @@ void Simulator::measure_into(const compiler::CompiledProgram& prog,
   out.stats.stddev = 0.0;
   out.stats.min = 1e300;
   out.stats.max = 0.0;
+  // One value pass (on the first replay), then one timing replay per seed.
+  arena.rebind(prog, layout, machine_, options, bindings);
   for (int r = 0; r < std::max(1, runs); ++r) {
     const std::uint64_t seed =
         options.seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
-    if (r == 0) {
-      // Full rebind on the first run only; later runs share every piece of
-      // configuration-derived state and reset just what the run perturbed.
-      SimOptions run_opts = options;
-      run_opts.seed = seed;
-      arena.rebind(prog, layout, machine_, run_opts, bindings);
-    } else {
-      arena.rebind_run(seed);
-    }
-    arena.run_into(scratch);
+    arena.replay_into(seed, scratch);
     out.stats.samples.push_back(scratch.total);
     out.stats.mean += scratch.total;
     out.stats.min = std::min(out.stats.min, scratch.total);
@@ -87,9 +80,9 @@ void Simulator::measure_batch_into(const compiler::CompiledProgram& prog,
                                    const SimOptions& options, int runs, Executor& arena,
                                    std::vector<MeasuredResult>& out) const {
   out.resize(bindings.size());
-  // One SimResult scratch for the whole batch: it cycles buffers with the
-  // arena lane after lane, so a 64-lane measured chunk allocates (at most)
-  // one result's worth of vectors instead of 64.
+  // One SimResult scratch for the whole batch, refilled lane after lane, so
+  // a 64-lane measured chunk allocates (at most) one result's worth of
+  // vectors instead of 64.
   SimResult scratch;
   for (std::size_t i = 0; i < bindings.size(); ++i) {
     measure_into(prog, *bindings[i], *layouts[i], options, runs, arena, out[i], scratch);

@@ -2,8 +2,9 @@
 //
 // The paper's measured timings are averages of 1000 runs on the real cube
 // with the variance attributed to timing tolerance and system load (§5.1).
-// Simulator::measure repeats the functional simulation with different noise
-// seeds and reports the same statistics (mean / min / max / stddev) so the
+// Simulator::measure computes the program's values once (the executor's
+// value pass) and replays its timing tape under each derived noise seed,
+// reporting the same statistics (mean / min / max / stddev) so the
 // accuracy benches can test the paper's claim that interpreted times
 // typically fall within the measured variance.
 #pragma once
@@ -35,7 +36,8 @@ class Simulator {
  public:
   explicit Simulator(const machine::MachineModel& machine) : machine_(machine) {}
 
-  /// Runs the program `runs` times with derived seeds.
+  /// Measures the program `runs` times: run r replays under seed
+  /// options.seed + r * 0x9e3779b97f4a7c15.
   [[nodiscard]] MeasuredResult measure(const compiler::CompiledProgram& prog,
                                        const front::Bindings& bindings,
                                        const compiler::LayoutOptions& layout_options,
@@ -49,10 +51,10 @@ class Simulator {
                                        const SimOptions& options = {},
                                        int runs = 3) const;
 
-  /// Same, replaying the runs through a caller-owned executor arena: each
-  /// run rebinds `arena` instead of constructing a fresh Executor, so a
-  /// per-worker arena serves a whole sweep without per-run allocation. The
-  /// statistics are bit-identical to the constructing overloads.
+  /// Same, through a caller-owned executor arena: one rebind and value pass
+  /// per call instead of a fresh Executor, so a per-worker arena serves a
+  /// whole sweep without per-run allocation. The statistics are
+  /// bit-identical to the constructing overloads.
   [[nodiscard]] MeasuredResult measure(const compiler::CompiledProgram& prog,
                                        const front::Bindings& bindings,
                                        const compiler::DataLayout& layout,
@@ -61,7 +63,7 @@ class Simulator {
 
   /// The fully reusing form behind all the overloads above: fills `out` in
   /// place (previous contents discarded, buffers recycled) and replays the
-  /// runs through Executor::run_into, so a caller holding one
+  /// runs through Executor::replay_into, so a caller holding one
   /// MeasuredResult and one Executor per worker measures a whole sweep
   /// without per-point result allocation. Contents are bit-identical to
   /// measure().
@@ -73,12 +75,11 @@ class Simulator {
   /// Batched form for the lockstep sweep path: measures every lane of a
   /// same-program batch through one executor arena, filling out[i] with
   /// exactly what measure_into of (bindings[i], layouts[i]) produces.
-  /// Unlike prediction, simulation materializes real array data per run,
-  /// so this is a buffer-reusing lane loop rather than an SoA walk — but
-  /// the per-run work is shared: within a lane, only the first run pays a
-  /// full rebind (later runs go through Executor::rebind_run, refilling
-  /// only the arrays the previous run wrote), and one SimResult scratch
-  /// cycles through the whole batch. `out` is resized to the lane count.
+  /// Unlike prediction, simulation materializes real array data per lane,
+  /// so this is a buffer-reusing lane loop rather than an SoA walk: each
+  /// lane pays one value pass and one cheap timing replay per run, and one
+  /// SimResult scratch cycles through the whole batch. `out` is resized to
+  /// the lane count.
   void measure_batch_into(const compiler::CompiledProgram& prog,
                           std::span<const front::Bindings* const> bindings,
                           std::span<const compiler::DataLayout* const> layouts,
@@ -87,9 +88,8 @@ class Simulator {
 
  private:
   /// Shared-scratch core behind measure_into / measure_batch_into:
-  /// `scratch` cycles buffers with the arena (and with out.detail via the
-  /// first-run swap), so batch callers thread one SimResult through every
-  /// lane. Run 0 fully rebinds the arena; runs >= 1 use rebind_run.
+  /// `scratch` receives every replay (and swaps with out.detail on run 0),
+  /// so batch callers thread one SimResult through every lane.
   void measure_into(const compiler::CompiledProgram& prog,
                     const front::Bindings& bindings,
                     const compiler::DataLayout& layout, const SimOptions& options,

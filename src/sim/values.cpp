@@ -21,21 +21,6 @@ void Storage::rebind(const front::SymbolTable& symbols,
     // Invalidate without releasing: ensure() re-derives extents/strides and
     // overwrites every element, so the data vector's capacity is reused.
     store.allocated = false;
-    store.written = false;
-    store.extents.clear();
-    store.strides.clear();
-  }
-}
-
-void Storage::reset_written() {
-  for (auto& store : arrays_) {
-    if (!store.written) continue;
-    // Same invalidation rebind() applies, limited to mutated arrays:
-    // ensure() re-derives the geometry (unchanged — same layout) and
-    // rewrites the deterministic fill, so the next read is bit-identical
-    // to a fresh construction.
-    store.allocated = false;
-    store.written = false;
     store.extents.clear();
     store.strides.clear();
   }
@@ -65,6 +50,11 @@ Storage::ArrayStore& Storage::ensure(int symbol) {
 
 std::size_t Storage::offset(int symbol, std::span<const long long> index) {
   const ArrayStore& store = ensure(symbol);
+  if (index.size() != store.extents.size()) {
+    throw CompileError({}, "'" + symbols_->at(symbol).name + "' has rank " +
+                               std::to_string(store.extents.size()) + " but " +
+                               std::to_string(index.size()) + " subscripts were given");
+  }
   std::size_t off = 0;
   for (std::size_t d = 0; d < store.extents.size(); ++d) {
     const long long i = index[d];
@@ -87,7 +77,6 @@ double Storage::load(int symbol, std::span<const long long> index) {
 
 void Storage::store(int symbol, std::span<const long long> index, double value) {
   ArrayStore& s = ensure(symbol);
-  s.written = true;
   s.data[offset(symbol, index)] = value;
 }
 
@@ -97,11 +86,7 @@ long long Storage::extent(int symbol, int dim) {
 }
 
 std::span<double> Storage::raw(int symbol) {
-  ArrayStore& store = ensure(symbol);
-  // Conservative: the span is a mutable write window, so assume it is used
-  // as one. Costs at most a redundant refill in reset_written().
-  store.written = true;
-  return store.data;
+  return ensure(symbol).data;
 }
 
 const std::vector<long long>& Storage::extents(int symbol) const {
@@ -119,7 +104,6 @@ long long Storage::total_elements(int symbol) const {
 void Storage::cshift_into(int dst_symbol, int src_symbol, int dim, long long shift) {
   ArrayStore& src = ensure(src_symbol);
   ArrayStore& dst = ensure(dst_symbol);
-  dst.written = true;
   const std::size_t rank = src.extents.size();
   if (dst.extents != src.extents) {
     throw CompileError({}, "cshift shape mismatch");

@@ -42,7 +42,8 @@ class Storage final : public compiler::ArrayAccess {
   void store(int symbol, std::span<const long long> index, double value);
 
   /// Linearized (0-based, row-major) offset of a 1-based index vector;
-  /// bounds-checked; allocates the array on first touch.
+  /// rank- and bounds-checked (CompileError); allocates the array on first
+  /// touch.
   [[nodiscard]] std::size_t offset(int symbol, std::span<const long long> index);
 
   [[nodiscard]] std::span<double> raw(int symbol);
@@ -54,20 +55,12 @@ class Storage final : public compiler::ArrayAccess {
   /// `dim` (0-based).
   void cshift_into(int dst_symbol, int src_symbol, int dim, long long shift);
 
-  /// Invalidates exactly the arrays a run wrote to (store / cshift_into /
-  /// raw), leaving read-only operand arrays — and their deterministic fill —
-  /// untouched. After this, every array reads back what a full rebind()
-  /// would produce, at the cost of refilling only the mutated ones: the
-  /// between-runs reset of a repeated measurement.
-  void reset_written();
-
  private:
   struct ArrayStore {
     std::vector<long long> extents;
     std::vector<long long> strides;  // row-major element strides
     std::vector<double> data;
     bool allocated = false;
-    bool written = false;  // mutated since the last (re)fill
   };
 
   ArrayStore& ensure(int symbol);

@@ -91,6 +91,43 @@ TEST(Sema, ForallMaskMustBeLogical) {
       (void)analyze_body("real v(8)\nforall (i = 1:8, v(i) .gt. 0.0) v(i) = 0.0"));
 }
 
+TEST(Sema, ForallTargetMustUseEveryIndex) {
+  // Many-to-one: every i stores to the whole of s (it used to reach the
+  // simulator and crash it while computing a store offset).
+  constexpr const char* kManyToOne = R"f90(
+program p
+  parameter (n = 16)
+  real s(n)
+!hpf$ template d(n)
+!hpf$ align s(i) with d(i)
+!hpf$ distribute d(block)
+  forall (i = 1:n) s = s(i)*2.0
+end program p
+)f90";
+  front::Program prog = front::parse_program(kManyToOne);
+  try {
+    (void)front::analyze(prog);
+    ADD_FAILURE() << "many-to-one forall accepted";
+  } catch (const support::CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("forall index 'i'"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)analyze_body("real v(8)\nforall (i = 1:8) v(1) = real(i)"),
+               support::CompileError);
+  EXPECT_THROW(
+      (void)analyze_body("real a(4,4)\nforall (i = 1:4, j = 1:4) a(i,1) = real(j)"),
+      support::CompileError);
+  EXPECT_THROW((void)analyze_body("real v(8)\nreal w(8)\nforall (i = 1:8)\n"
+                                  "where (w .gt. 0.0) v = 1.0\nend forall"),
+               support::CompileError);
+  EXPECT_THROW((void)analyze_body("real v(8)\nreal w(8)\nforall (i = 1:8)\n"
+                                  "where (w .gt. 0.0)\nprint *, x\nv = 1.0\nend where\n"
+                                  "end forall"),
+               support::CompileError);
+  EXPECT_NO_THROW(
+      (void)analyze_body("real a(4,4)\nforall (i = 1:4, j = 1:4) a(i,5-j) = real(i+j)"));
+  EXPECT_NO_THROW((void)analyze_body("real a(4,4)\nforall (i = 1:4) a(i,:) = 0.0"));
+}
+
 TEST(Sema, IfConditionMustBeScalarLogical) {
   EXPECT_THROW((void)analyze_body("real v(8)\nif (v .gt. 0.0) then\nx = 1\nend if"),
                support::CompileError);

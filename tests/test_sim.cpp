@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 
 #include "compiler/pipeline.hpp"
 #include "machine/ipsc860.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/values.hpp"
+#include "sim_fixture.hpp"
 #include "suite/suite.hpp"
 #include "support/diagnostics.hpp"
 
@@ -77,6 +80,20 @@ TEST(Storage, OutOfBoundsThrows) {
   const long long zero[1] = {0};
   EXPECT_THROW((void)storage.load(v, bad), support::CompileError);
   EXPECT_THROW((void)storage.load(v, zero), support::CompileError);
+}
+
+TEST(Storage, RankMismatchThrows) {
+  auto prog = comp(kTiny);
+  const compiler::DataLayout layout =
+      compiler::make_layout(prog, {}, compiler::LayoutOptions{1, {}});
+  sim::Storage storage(prog.symbols, layout);
+  const int v = prog.symbols.find("v");
+  const long long two[2] = {1, 1};
+  EXPECT_THROW((void)storage.offset(v, std::span<const long long>{}), support::CompileError);
+  EXPECT_THROW((void)storage.offset(v, two), support::CompileError);
+  EXPECT_THROW(storage.store(v, std::span<const long long>{}, 1.0), support::CompileError);
+  const long long one[1] = {1};
+  EXPECT_EQ(storage.offset(v, one), 0u);
 }
 
 TEST(Storage, DefaultFillIsNearUnity) {
@@ -376,6 +393,76 @@ TEST(Executor, MeasureIntoMatchesMeasureBitForBit) {
   EXPECT_EQ(out.stats.samples, reference.stats.samples);
   EXPECT_EQ(out.detail.total, reference.detail.total);
   EXPECT_EQ(out.detail.printed, reference.detail.printed);
+}
+
+void expect_same_result(const sim::SimResult& got, const sim::SimResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.total, want.total) << what;
+  EXPECT_EQ(got.proc_clock, want.proc_clock) << what;
+  EXPECT_EQ(got.comp, want.comp) << what;
+  EXPECT_EQ(got.comm, want.comm) << what;
+  EXPECT_EQ(got.overhead, want.overhead) << what;
+  EXPECT_EQ(got.printed, want.printed) << what;
+  EXPECT_EQ(got.scalars, want.scalars) << what;
+  ASSERT_EQ(got.per_node.size(), want.per_node.size()) << what;
+  for (std::size_t i = 0; i < got.per_node.size(); ++i) {
+    EXPECT_EQ(got.per_node[i].comp, want.per_node[i].comp) << what << " node " << i;
+    EXPECT_EQ(got.per_node[i].comm, want.per_node[i].comm) << what << " node " << i;
+    EXPECT_EQ(got.per_node[i].overhead, want.per_node[i].overhead) << what << " node " << i;
+    EXPECT_EQ(got.per_node[i].visits, want.per_node[i].visits) << what << " node " << i;
+  }
+}
+
+// One measure(runs = N) replays one value pass N times; each replay must
+// equal a fresh Executor seeded with that run's derived seed, so no replay
+// inherits clocks, link occupancy, noise state or metrics from the one
+// before it. LFK 2 exercises irregular exchanges, Laplace (Blk,Blk) the
+// overlap steady state on a 2-D grid, N-Body reductions and collectives.
+TEST(Executor, EveryReplayEqualsAFreshExecutorUnderItsSeed) {
+  SimFixture f;
+  sim::Simulator simulator(f.machine);
+  constexpr int kRuns = 4;
+  for (const sim_fixture::Case c :
+       {sim_fixture::Case{"lfk2", 256}, sim_fixture::Case{"laplace_bb", 16},
+        sim_fixture::Case{"nbody", 24}}) {
+    const suite::BenchmarkApp& app = suite::app(c.app);
+    const compiler::CompiledProgram prog = sim_fixture::compile_app(app);
+    const front::Bindings bindings = app.bindings(c.n);
+    for (int nprocs : {2, 4, 8}) {
+      const compiler::DataLayout layout = sim_fixture::layout_for(app, prog, bindings, nprocs);
+      sim::SimOptions so;
+      so.seed = 7919;
+      sim::Executor arena;
+      sim::MeasuredResult measured;
+      simulator.measure_into(prog, bindings, layout, so, kRuns, arena, measured);
+      ASSERT_EQ(measured.stats.samples.size(), static_cast<std::size_t>(kRuns));
+      for (int r = 0; r < kRuns; ++r) {
+        sim::SimOptions fresh_opts = so;
+        fresh_opts.seed = so.seed + static_cast<std::uint64_t>(r) * 0x9e3779b97f4a7c15ULL;
+        const sim::SimResult fresh =
+            sim::Executor(prog, layout, f.machine, fresh_opts, bindings).run();
+        const std::string what = std::string(c.app) + " np=" + std::to_string(nprocs) +
+                                 " run " + std::to_string(r);
+        EXPECT_EQ(measured.stats.samples[static_cast<std::size_t>(r)], fresh.total) << what;
+        if (r == 0) expect_same_result(measured.detail, fresh, what);
+        // the arena's last value pass replays any seed, in any order
+        sim::SimResult again;
+        arena.replay_into(fresh_opts.seed, again);
+        expect_same_result(again, fresh, what + " (replayed again)");
+      }
+    }
+  }
+}
+
+// Every suite app at its smallest measured_sweep size, 1-8 procs, two
+// seeds, runs = 3: the numbers the simulator produced when each run was a
+// single walk (see sim_fixture.hpp), byte for byte.
+TEST(Simulator, MeasuredResultsMatchTheCommittedFixtureByteForByte) {
+  std::ifstream in(std::string(HPF90D_FIXTURE_DIR) + "/sim/measured.txt", std::ios::binary);
+  ASSERT_TRUE(in);
+  const std::string want{std::istreambuf_iterator<char>(in), {}};
+  const std::string got = sim_fixture::render();
+  EXPECT_EQ(got, want);
 }
 
 TEST(Executor, ScalarsReportedForValidation) {
